@@ -20,13 +20,22 @@ published state without holding its own copy.
 Segment protocol
 ----------------
 Per ``(dataset, measure)`` there is one fixed-name *head* segment (a tiny
-length-prefixed JSON record naming the current generation and its payload
-segment) and one *payload* segment per published generation.  A publish
-writes the complete new payload first, then rewrites the head, then unlinks
-the superseded payload — readers that lose the race see a parse failure or a
-vanished payload and report :class:`SegmentMiss`, which callers treat as
-"fall back to the slow path", never as an error.  Already-mapped views keep
-working after an unlink (POSIX semantics), so in-flight queries are safe.
+length-prefixed JSON record naming the current generation, its payload
+segment and a random per-publish token) and one *payload* segment per
+published generation.  A publish writes the complete new payload first, then
+rewrites the head, then unlinks the superseded payload — readers that lose
+the race see a parse failure or a vanished payload and report
+:class:`SegmentMiss`, which callers treat as "fall back to the slow path",
+never as an error.  Already-mapped views keep working after an unlink (POSIX
+semantics), so in-flight queries are safe.
+
+Payloads are immutable once the head names them, so a reader that has
+already decoded the payload a head record names can reuse that view for as
+long as the head still holds the same record: :meth:`SegmentSpace.view`
+re-reads the head on every call and decodes only when it changed.  The
+token is what makes the record a safe cache key — a :meth:`SegmentSpace.clear`
+followed by a republish restarts generation numbering, so ``(generation,
+payload)`` alone could name different contents.
 
 Equivalence contract
 --------------------
@@ -45,11 +54,13 @@ import heapq
 import json
 import math
 import re
+import secrets
 import threading
+from functools import cached_property
 from hashlib import blake2s
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence, TypeVar
 
 import numpy as np
 
@@ -72,6 +83,8 @@ __all__ = [
 
 _SHM_DIR = Path("/dev/shm")
 _HEAD_SIZE = 1024
+
+_View = TypeVar("_View")
 
 
 class SegmentMiss(Exception):
@@ -158,6 +171,8 @@ class SegmentSpace:
     front and every worker of one server share the token, so a worker's
     publishes are visible to the front's attaches.  :meth:`clear` sweeps by
     name prefix, which also collects segments created by since-dead workers.
+    :meth:`view` keeps one decoded view per ``(dataset, measure)``, keyed by
+    the head record it was decoded under.
     """
 
     def __init__(self, namespace: str) -> None:
@@ -168,6 +183,7 @@ class SegmentSpace:
         self.namespace = namespace
         # Fallback bookkeeping for platforms without a scannable /dev/shm.
         self._created: set[str] = set()
+        self._views: dict[tuple[str, str], tuple[tuple, object]] = {}
         self._lock = threading.Lock()
 
     # -- naming --------------------------------------------------------
@@ -184,14 +200,19 @@ class SegmentSpace:
     # -- head record ---------------------------------------------------
 
     @staticmethod
-    def _read_head(head: shared_memory.SharedMemory) -> tuple[int, str] | None:
+    def _read_head(head: shared_memory.SharedMemory) -> tuple[int, str, str] | None:
+        """The ``(generation, payload, token)`` record, or ``None`` if torn."""
         raw = bytes(head.buf[:4])
         length = int.from_bytes(raw, "little")
         if length == 0 or length > _HEAD_SIZE - 4:
             return None
         try:
             record = json.loads(bytes(head.buf[4 : 4 + length]).decode("utf-8"))
-            return int(record["generation"]), str(record["payload"])
+            return (
+                int(record["generation"]),
+                str(record["payload"]),
+                str(record["token"]),
+            )
         except Exception:
             return None  # torn concurrent rewrite; caller treats as a miss
 
@@ -200,25 +221,47 @@ class SegmentSpace:
         head: shared_memory.SharedMemory, generation: int, payload: str
     ) -> None:
         body = json.dumps(
-            {"generation": generation, "payload": payload},
+            {
+                "generation": generation,
+                "payload": payload,
+                "token": secrets.token_hex(8),
+            },
             separators=(",", ":"),
         ).encode("utf-8")
         record = len(body).to_bytes(4, "little") + body
         head.buf[: len(record)] = record
+
+    def _head(self, dataset: str, measure: str) -> tuple[int, str, str]:
+        """The live head record; raises :class:`SegmentMiss` when unreadable."""
+        try:
+            head = _open_shm(self.head_name(dataset, measure))
+        except (FileNotFoundError, OSError):
+            raise SegmentMiss(f"no segment for ({dataset!r}, {measure!r})") from None
+        try:
+            parsed = self._read_head(head)
+        finally:
+            head.close()
+        if parsed is None:
+            raise SegmentMiss(f"unreadable head for ({dataset!r}, {measure!r})")
+        return parsed
+
+    @staticmethod
+    def _open_payload(payload_name: str) -> shared_memory.SharedMemory:
+        try:
+            return _open_shm(payload_name)
+        except (FileNotFoundError, OSError):
+            raise SegmentMiss(
+                f"payload {payload_name!r} superseded mid-attach"
+            ) from None
 
     # -- publish / attach ----------------------------------------------
 
     def head_generation(self, dataset: str, measure: str) -> int:
         """The currently published generation (0 when nothing is live)."""
         try:
-            head = _open_shm(self.head_name(dataset, measure))
-        except (FileNotFoundError, OSError):
+            return self._head(dataset, measure)[0]
+        except SegmentMiss:
             return 0
-        try:
-            parsed = self._read_head(head)
-        finally:
-            head.close()
-        return parsed[0] if parsed else 0
 
     def publish(self, dataset: str, measure: str, encode) -> int:
         """Publish the next generation; ``encode(generation)`` builds the blob.
@@ -256,24 +299,33 @@ class SegmentSpace:
         self, dataset: str, measure: str
     ) -> tuple[int, shared_memory.SharedMemory]:
         """Map the live payload; raises :class:`SegmentMiss` when impossible."""
-        try:
-            head = _open_shm(self.head_name(dataset, measure))
-        except (FileNotFoundError, OSError):
-            raise SegmentMiss(f"no segment for ({dataset!r}, {measure!r})") from None
-        try:
-            parsed = self._read_head(head)
-        finally:
-            head.close()
-        if parsed is None:
-            raise SegmentMiss(f"unreadable head for ({dataset!r}, {measure!r})")
-        generation, payload_name = parsed
-        try:
-            payload = _open_shm(payload_name)
-        except (FileNotFoundError, OSError):
-            raise SegmentMiss(
-                f"payload {payload_name!r} superseded mid-attach"
-            ) from None
-        return generation, payload
+        generation, payload_name, _ = self._head(dataset, measure)
+        return generation, self._open_payload(payload_name)
+
+    def view(
+        self,
+        dataset: str,
+        measure: str,
+        build: Callable[[int, shared_memory.SharedMemory], _View],
+    ) -> _View:
+        """The cached view of the live payload, rebuilt when the head changes.
+
+        The head is read on every call, so a view is never served after its
+        payload was superseded; ``build(generation, payload)`` decodes a
+        newly published payload, and the view it returns replaces (and so
+        releases) the previous one.  Raises :class:`SegmentMiss` like
+        :meth:`attach`.
+        """
+        record = self._head(dataset, measure)
+        key = (dataset, measure)
+        with self._lock:
+            cached = self._views.get(key)
+        if cached is not None and cached[0] == record:
+            return cached[1]
+        built = build(record[0], self._open_payload(record[1]))
+        with self._lock:
+            self._views[key] = (record, built)
+        return built
 
     def segment_count(self, dataset: str) -> int:
         """How many live segments (heads + payloads) back ``dataset``.
@@ -330,6 +382,13 @@ class SegmentSpace:
             self._created = {
                 name for name in self._created if not name.startswith(prefix)
             } | (self._created & keep)
+            # Drop views of the unlinked payloads so none stays mapped.
+            self._views = {
+                key: view
+                for key, view in self._views.items()
+                if not self._base(*key).startswith(prefix)
+                or self._base(*key) in keep
+            }
         return removed
 
     def close(self) -> int:
@@ -583,10 +642,18 @@ class ColumnarFamily:
         self._matrix = member_matrix(cube.values, dimension)
         self._members = cube.domain(dimension)
         self._member_rows = {member: row for row, member in enumerate(self._members)}
-        self._pairs = self._pair_domain(cube, dimension)
-        self._pair_cols = {pair: col for col, pair in enumerate(self._pairs)}
         self._lists: dict[tuple, InvertedIndex] = {}
         self._sweep_state: dict | None = None
+
+    @cached_property
+    def _pair_cols(self) -> dict[tuple, int]:
+        """Fixed-pair key → column, built on the first probe: a
+        :meth:`run_sweep` never needs it, and a cached attached view or a
+        per-write family rebuild should not pay for it."""
+        return {
+            pair: col
+            for col, pair in enumerate(self._pair_domain(self._cube, self.dimension))
+        }
 
     @staticmethod
     def _pair_domain(cube: UnfairnessCube, dimension: str) -> list[tuple]:
@@ -605,7 +672,7 @@ class ColumnarFamily:
     @property
     def pair_keys(self) -> list[tuple]:
         """All fixed-pair keys, in canonical (build) order."""
-        return list(self._pairs)
+        return list(self._pair_cols)
 
     def _column(self, pair: tuple) -> int:
         try:
@@ -997,8 +1064,10 @@ class AttachedFBox:
     ``quantify`` / ``quantify_many`` / ``compare`` / ``aggregate`` /
     ``signature`` — against zero-copy views of the owning worker's state.
     Anything requiring the dataset itself (``/explain``, ingest) stays on
-    the worker.  Construct via :meth:`attach`; raises :class:`SegmentMiss`
-    when no live, decodable segment exists.
+    the worker.  Construct via :meth:`attach`, which reuses the space's
+    cached view (and so its families and prepared sweeps) until the head
+    changes; raises :class:`SegmentMiss` when no live, decodable segment
+    exists.
     """
 
     def __init__(self, store: ColumnarStore) -> None:
@@ -1014,10 +1083,12 @@ class AttachedFBox:
     def attach(
         cls, space: SegmentSpace, dataset: str, measure: str
     ) -> "AttachedFBox":
-        generation, segment = space.attach(dataset, measure)
-        store = ColumnarStore.decode(segment)
-        store.generation = generation
-        return cls(store)
+        def build(generation: int, segment) -> "AttachedFBox":
+            store = ColumnarStore.decode(segment)
+            store.generation = generation
+            return cls(store)
+
+        return space.view(dataset, measure, build)
 
     @property
     def generation(self) -> int:

@@ -72,16 +72,18 @@ class UnfairnessCube:
         queries: Iterable[str],
         locations: Iterable[str],
     ) -> "UnfairnessCube":
-        """Evaluate ``engine`` on every triple; undefined cells become NaN."""
+        """Evaluate ``engine`` on every triple; undefined cells become NaN.
+
+        Each ``(query, location)`` column comes from one call to the
+        engine's column kernel.
+        """
         groups = list(groups)
         queries = list(queries)
         locations = list(locations)
         values = np.full((len(groups), len(queries), len(locations)), np.nan)
-        for gi, group in enumerate(groups):
-            for qi, query in enumerate(queries):
-                for li, location in enumerate(locations):
-                    if engine.defined_for(group, query, location):
-                        values[gi, qi, li] = engine.unfairness(group, query, location)
+        for qi, query in enumerate(queries):
+            for li, location in enumerate(locations):
+                values[:, qi, li] = engine.column(groups, query, location)
         return cls(groups, queries, locations, values)
 
     @classmethod
@@ -112,13 +114,9 @@ class UnfairnessCube:
         query_index = {query: i for i, query in enumerate(queries)}
         location_index = {location: i for i, location in enumerate(locations)}
         for query, location in dirty:
-            qi = query_index[query]
-            li = location_index[location]
-            for gi, group in enumerate(old.groups):
-                if engine.defined_for(group, query, location):
-                    values[gi, qi, li] = engine.unfairness(group, query, location)
-                else:
-                    values[gi, qi, li] = np.nan
+            values[:, query_index[query], location_index[location]] = engine.column(
+                old.groups, query, location
+            )
         return cls(old.groups, queries, locations, values)
 
     # ------------------------------------------------------------------
@@ -151,6 +149,11 @@ class UnfairnessCube:
                 f"d<{group},{query},{location}> is undefined in this cube"
             )
         return cell
+
+    def column(self, query: str, location: str) -> np.ndarray:
+        """The ``(query, location)`` column: one value per group, NaN where
+        undefined (a view, in group-domain order)."""
+        return self.values[:, self._qi(query), self._li(location)]
 
     def is_defined(self, group: Group, query: str, location: str) -> bool:
         """True when the cell holds a computed value."""

@@ -146,6 +146,13 @@ class FBox:
                     self.cube_builds += 1
         return self._cube
 
+    @property
+    def materialized_cube(self) -> UnfairnessCube | None:
+        """The cube if it has been built (or attached), else ``None``.
+
+        Unlike :attr:`cube` this never triggers a build."""
+        return self._cube
+
     def family(self, dimension: str, order: str = "most") -> IndexFamily:
         """The ``dimension``-based index family (cached per sort direction).
 

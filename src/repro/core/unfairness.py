@@ -20,11 +20,16 @@ here — and therefore by the query service — with no engine edits.
 
 Both expose the same ``unfairness(group, query, location)`` interface plus
 the §3.4 aggregations over sets of queries/locations/groups, so the cube,
-index, and algorithm layers are agnostic to the site type.
+index, and algorithm layers are agnostic to the site type.  The cube is
+built through ``column(groups, query, location)``, the column kernel: every
+group's value for one pair, with each group's members resolved once per pair
+rather than once per cell and comparison, and bit-identical to calling
+``defined_for`` then ``unfairness`` per group.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 from typing import Iterable, Protocol, Sequence
 
@@ -59,6 +64,12 @@ class UnfairnessEngine(Protocol):
 
     def defined_for(self, group: Group, query: str, location: str) -> bool:
         """True when ``d<g,q,l>`` is computable from the observations."""
+        ...
+
+    def column(
+        self, groups: Sequence[Group], query: str, location: str
+    ) -> list[float]:
+        """``d<g,q,l>`` for every group of one pair; NaN where undefined."""
         ...
 
 
@@ -175,6 +186,52 @@ class SearchEngineUnfairness:
             for other in comparable_groups(group, self.schema)
         )
 
+    def column(
+        self, groups: Sequence[Group], query: str, location: str
+    ) -> list[float]:
+        """Equation 1 for every group of one pair; NaN where undefined.
+
+        Bit-identical to :meth:`defined_for` then :meth:`unfairness` per
+        group: each group's users are resolved once per pair, and
+        ``DIST(E(u), E(u'))`` is memoised per *ordered* user pair, so every
+        average sums the same values in the same order.
+        """
+        if not self.dataset.has_observation(query, location):
+            return [math.nan] * len(groups)
+        observation = self.dataset.observation(query, location)
+        results = observation.results_by_user
+        resolved: dict[Group, list[str]] = {}
+        distances: dict[tuple[str, str], float] = {}
+
+        def members(group: Group) -> list[str]:
+            ids = resolved.get(group)
+            if ids is None:
+                ids = resolved[group] = self.dataset.members_in_observation(
+                    group, observation
+                )
+            return ids
+
+        def distance(left: str, right: str) -> float:
+            value = distances.get((left, right))
+            if value is None:
+                value = distances[(left, right)] = self._dist(
+                    results[left], results[right]
+                )
+            return value
+
+        values: list[float] = []
+        for group in groups:
+            own = members(group)
+            per_group = [
+                statistics.fmean(
+                    [distance(left, right) for left in own for right in others]
+                )
+                for others in map(members, comparable_groups(group, self.schema))
+                if own and others
+            ]
+            values.append(statistics.fmean(per_group) if per_group else math.nan)
+        return values
+
 
 class MarketplaceUnfairness:
     """§3.3 measures on a :class:`~repro.data.schema.MarketplaceDataset`.
@@ -271,6 +328,44 @@ class MarketplaceUnfairness:
             self.dataset.members_in_ranking(other, ranking)
             for other in comparable_groups(group, self.schema)
         )
+
+    def column(
+        self, groups: Sequence[Group], query: str, location: str
+    ) -> list[float]:
+        """The measure for every group of one pair; NaN where undefined.
+
+        Bit-identical to :meth:`defined_for` then :meth:`unfairness` per
+        group: the measure receives the same ``(ranking, members,
+        populated)`` inputs in the same order, but each group's members are
+        resolved once per pair instead of once per cell and comparison.
+        """
+        if not self.dataset.has_observation(query, location):
+            return [math.nan] * len(groups)
+        ranking = self.dataset.observation(query, location).ranking
+        resolved: dict[Group, list[str]] = {}
+
+        def members(group: Group) -> list[str]:
+            ids = resolved.get(group)
+            if ids is None:
+                ids = resolved[group] = self.dataset.members_in_ranking(
+                    group, ranking
+                )
+            return ids
+
+        values: list[float] = []
+        for group in groups:
+            own = members(group)
+            populated = {
+                other.name: ids
+                for other in comparable_groups(group, self.schema)
+                if own and (ids := members(other))
+            }
+            values.append(
+                self.measure.group_value(ranking, own, populated)
+                if populated
+                else math.nan
+            )
+        return values
 
 
 def aggregate_unfairness(

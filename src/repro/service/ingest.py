@@ -16,7 +16,9 @@ longitudinal framing implies: every ingest records the recomputed cell
 values into a generation-ringed history, ``GET /v1/trends`` replays one
 cube cell's values across generations, and a configurable alert threshold
 counts crossings into ``fbox_fairness_alerts_total`` and the ``/datasets``
-listing.
+listing.  The recorded values are read from each live F-Box's freshly
+delta-updated cube, so a write computes every dirty column exactly once;
+only measures without a materialized cube run the engine's column kernel.
 
 Idempotency: a client-supplied ``batch_id`` is remembered per dataset, and
 a replay (e.g. a retry after a dropped connection) returns the stored
@@ -31,8 +33,10 @@ double-counting its observations.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict, deque
+from functools import partial
 from typing import Mapping
 
 from ..core.groups import group_lattice
@@ -325,32 +329,39 @@ class IngestManager:
     ) -> dict:
         """Snapshot the recomputed cells into the trend ring; count alerts.
 
-        Values come from each measure's engine (stateless per-cell, so this
-        costs only ``|groups| × |touched pairs|`` per measure).  The ring
-        holds one entry per ingest generation.
+        Values are read from each live F-Box's cube, which the apply just
+        delta-updated, so nothing is recomputed here.  A measure whose
+        F-Box has no materialized cube (or whose cube's group domain is not
+        the group lattice), and the default measure of a dataset with no
+        live F-Box, fall back to the engine's column kernel over the
+        touched pairs.  The ring holds one entry per ingest generation.
         """
         spec = registry.spec(name)
         dataset = registry.dataset(name)
         fboxes = registry.live_fboxes(name)
         measures = sorted(fboxes) or [spec.default_measure]
         groups = group_lattice(registry.schema)
+        labels = [str(group) for group in groups]
         values: dict[str, dict] = {}
         alerts = 0
         for measure in measures:
-            if measure in fboxes:
-                engine = fboxes[measure].engine
-            elif spec.site == "taskrabbit":
-                engine = MarketplaceUnfairness(dataset, registry.schema, measure=measure)
+            fbox = fboxes.get(measure)
+            cube = fbox.materialized_cube if fbox is not None else None
+            if cube is not None and cube.groups == groups:
+                column = cube.column
             else:
-                engine = SearchEngineUnfairness(dataset, registry.schema, measure=measure)
+                if fbox is not None:
+                    engine = fbox.engine
+                elif spec.site == "taskrabbit":
+                    engine = MarketplaceUnfairness(dataset, registry.schema, measure=measure)
+                else:
+                    engine = SearchEngineUnfairness(dataset, registry.schema, measure=measure)
+                column = partial(engine.column, groups)
             cells: dict[tuple[str, str, str], float | None] = {}
             for query, location in outcome["touched"]:
-                for group in groups:
-                    if engine.defined_for(group, query, location):
-                        value = float(engine.unfairness(group, query, location))
-                    else:
-                        value = None
-                    cells[(str(group), query, location)] = value
+                for label, cell in zip(labels, column(query, location)):
+                    value = None if math.isnan(cell) else float(cell)
+                    cells[(label, query, location)] = value
                     if (
                         value is not None
                         and self.alert_threshold is not None

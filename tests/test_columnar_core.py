@@ -18,9 +18,11 @@ contract at three layers:
 
 from __future__ import annotations
 
+import gc
 import glob
 import json
 import os
+import sys
 import threading
 import time
 import urllib.error
@@ -438,6 +440,152 @@ class TestSegmentLifecycle:
             assert glob.glob(f"/dev/shm/fbx{token}*") == []
         finally:
             registry.close()
+
+
+def _mapped(namespace: str) -> list[str]:
+    """This process's shared-memory mappings in ``namespace``."""
+    with open("/proc/self/maps") as maps:
+        return [line for line in maps if f"/fbx{namespace}-" in line]
+
+
+needs_proc_maps = pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
+)
+
+
+class TestViewCache:
+    """``AttachedFBox.attach`` reuses one view per head record — never
+    past a change of the head, and never past a ``clear``."""
+
+    def _bound_box(self, space, schema, dataset) -> ColumnarFBox:
+        box = ColumnarFBox.for_marketplace(dataset, schema)
+        box.bind_segment(space, "taskrabbit", "exposure")
+        return box
+
+    def test_unchanged_head_reuses_the_view(
+        self, space, schema, small_marketplace_dataset
+    ):
+        self._bound_box(space, schema, small_marketplace_dataset).cube
+        first = AttachedFBox.attach(space, "taskrabbit", "exposure")
+        assert AttachedFBox.attach(space, "taskrabbit", "exposure") is first
+
+    def test_ingest_is_visible_to_the_next_front_read(
+        self, space, schema, site, small_marketplace_dataset
+    ):
+        dataset = _copy_marketplace(small_marketplace_dataset)
+        owner = self._bound_box(space, schema, dataset)
+        owner.quantify("group", k=3)
+        before = AttachedFBox.attach(space, "taskrabbit", "exposure")
+        batch = decode_observations("taskrabbit", _market_batch(site, dataset))
+        touched = dataset.upsert_observations(batch)
+        owner.apply_observations(dataset.queries, dataset.locations, touched)
+        after = AttachedFBox.attach(space, "taskrabbit", "exposure")
+        assert after is not before
+        assert after.generation == space.head_generation("taskrabbit", "exposure")
+        assert not np.array_equal(
+            before.cube.values, owner.cube.values, equal_nan=True
+        )
+        assert np.array_equal(after.cube.values, owner.cube.values, equal_nan=True)
+        _assert_results_match(
+            after.quantify("group", k=3), owner.quantify("group", k=3)
+        )
+
+    def test_republish_after_clear_is_never_served_from_the_old_view(
+        self, space, schema
+    ):
+        # The front and the publisher are different processes in a server:
+        # a second space on the same namespace keeps its own cached views,
+        # which the publisher's clear cannot drop.
+        front = SegmentSpace(space.namespace)
+        old = ColumnarStore.from_cube(make_cube(seed=1), [("group", True)])
+        new = ColumnarStore.from_cube(make_cube(seed=2), [("group", True)])
+        assert space.publish("taskrabbit", "exposure", old.encode) == 1
+        stale = AttachedFBox.attach(front, "taskrabbit", "exposure")
+        space.clear()
+        # Generation numbering restarts: same generation, same payload name.
+        assert space.publish("taskrabbit", "exposure", new.encode) == 1
+        fresh = AttachedFBox.attach(front, "taskrabbit", "exposure")
+        assert fresh is not stale
+        assert fresh.generation == stale.generation == 1
+        assert np.array_equal(fresh.cube.values, new.cube.values)
+        assert not np.array_equal(fresh.cube.values, old.cube.values)
+
+    def test_concurrent_readers_never_see_a_superseded_view(self, space):
+        """Readers share one cached view while a publisher moves the head:
+        every attach answers with a generation at least as new as the head
+        before it started, holding exactly that generation's values."""
+        cubes = {gen: make_cube(seed=gen) for gen in range(1, 31)}
+        published = [0]
+        errors: list[str] = []
+        space.publish("d", "m", ColumnarStore.from_cube(cubes[1]).encode)
+        published[0] = 1
+
+        def publisher() -> None:
+            for generation in range(2, 31):
+                store = ColumnarStore.from_cube(cubes[generation])
+                assert space.publish("d", "m", store.encode) == generation
+                published[0] = generation
+                time.sleep(0.002)
+
+        deadline = time.monotonic() + 30
+
+        def reader() -> None:
+            while time.monotonic() < deadline:
+                floor = published[0]
+                try:
+                    view = AttachedFBox.attach(space, "d", "m")
+                except SegmentMiss:
+                    continue  # lost the race to an unlink: routed instead
+                if view.generation < floor:
+                    errors.append(f"generation {view.generation} < {floor}")
+                if not np.array_equal(view.cube.values, cubes[view.generation].values):
+                    errors.append(f"generation {view.generation} has wrong values")
+                if floor == 30:
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=reader, daemon=True) for _ in range(4)]
+            threads.append(threading.Thread(target=publisher, daemon=True))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=40)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert AttachedFBox.attach(space, "d", "m").generation == 30
+
+    @needs_proc_maps
+    def test_clear_drops_cached_views(self, space, schema, small_marketplace_dataset):
+        self._bound_box(space, schema, small_marketplace_dataset).quantify(
+            "group", k=3
+        )
+        front = AttachedFBox.attach(space, "taskrabbit", "exposure")
+        front.quantify("group", k=3)
+        assert _mapped(space.namespace)
+        del front
+        space.clear(dataset="taskrabbit")
+        gc.collect()
+        # Nothing unlinked stays mapped through a cached view.
+        assert _mapped(space.namespace) == []
+        with pytest.raises(SegmentMiss):
+            AttachedFBox.attach(space, "taskrabbit", "exposure")
+
+    @needs_proc_maps
+    def test_close_drops_views_and_segments(self, schema, small_marketplace_dataset):
+        token = f"t{os.getpid():x}{os.urandom(3).hex()}"
+        space = SegmentSpace(token)
+        try:
+            self._bound_box(space, schema, small_marketplace_dataset).cube
+            AttachedFBox.attach(space, "taskrabbit", "exposure")
+        finally:
+            space.close()
+        gc.collect()
+        assert glob.glob(f"/dev/shm/fbx{token}*") == []
+        assert _mapped(token) == []
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ replayed ``batch_id`` converge to the same cube state).
 from __future__ import annotations
 
 import json
+import statistics
 import threading
 import time
 import urllib.parse
@@ -22,12 +23,19 @@ import urllib.parse
 import pytest
 
 from repro.client import FBoxClient, RetryPolicy
+from repro.core.groups import group_lattice
+from repro.core.unfairness import MarketplaceUnfairness, SearchEngineUnfairness
 from repro.data.schema import MarketplaceDataset, SearchDataset
 from repro.marketplace.crawl import emit_observations as emit_marketplace
 from repro.searchengine.study import emit_observations as emit_search
 from repro.service.faults import FAULTS_ENV_VAR
 from repro.service.handlers import ServiceContext, handle_quantify
-from repro.service.ingest import decode_observations, handle_observations
+from repro.service.ingest import (
+    IngestManager,
+    decode_observations,
+    handle_observations,
+    handle_trends,
+)
 from repro.service.registry import DatasetRegistry, DatasetSpec
 from repro.service.server import make_server
 from repro.service.sharding import shard_for
@@ -411,6 +419,135 @@ class TestIngestConvergence:
         assert json.dumps(incremental, sort_keys=True) == json.dumps(
             rebuilt, sort_keys=True
         )
+
+
+# ----------------------------------------------------------------------
+# Where the trend ring's values come from
+# ----------------------------------------------------------------------
+
+
+class TestTrendRingSources:
+    """``/v1/trends`` points and alert counts equal the per-cell engine
+    values whichever source ``IngestManager`` reads them from: a live
+    F-Box's materialized cube, the engine of a live but unmaterialized
+    F-Box, or a fresh default-measure engine when nothing is live."""
+
+    # (materialized measure, live-but-unmaterialized measure) per site.
+    MEASURES = {"taskrabbit": ("emd", "exposure"), "google": ("kendall", "jaccard")}
+
+    @pytest.fixture(params=["dict", "columnar"])
+    def core(self, request):
+        return request.param
+
+    @staticmethod
+    def _dataset_and_batch(site_name, site, market, search):
+        if site_name == "taskrabbit":
+            return _copy_marketplace(market), _market_batch(site, market, seed=4)
+        return _copy_search(search), next(emit_search(search, batch_size=2, seed=3))
+
+    @staticmethod
+    def _expected(site_name, dataset, schema, measures, batch) -> dict:
+        """Per-cell engine values on an independent post-ingest copy."""
+        copy = (
+            _copy_marketplace(dataset)
+            if site_name == "taskrabbit"
+            else _copy_search(dataset)
+        )
+        touched = copy.upsert_observations(decode_observations(site_name, batch))
+        engine_class = (
+            MarketplaceUnfairness if site_name == "taskrabbit" else SearchEngineUnfairness
+        )
+        expected = {}
+        for measure in measures:
+            engine = engine_class(copy, schema, measure=measure)
+            for query, location in touched:
+                for group in group_lattice(schema):
+                    defined = engine.defined_for(group, query, location)
+                    label = ",".join(f"{a}={v}" for a, v in group.predicates)
+                    expected[(measure, label, query, location)] = (
+                        float(engine.unfairness(group, query, location))
+                        if defined
+                        else None
+                    )
+        return expected
+
+    def _run(self, core, schema, site_name, dataset, batch, measures, live):
+        expected = self._expected(site_name, dataset, schema, measures, batch)
+        defined = [value for value in expected.values() if value is not None]
+        threshold = statistics.median(defined)  # some cells alert, some not
+        registry = DatasetRegistry(core=core, schema=schema)
+        registry.register(
+            DatasetSpec(name="d", site=site_name, loader=lambda: dataset)
+        )
+        context = ServiceContext(
+            registry=registry, ingest=IngestManager(alert_threshold=threshold)
+        )
+        try:
+            live(registry)
+            document = handle_observations(
+                context, {"dataset": "d", "batch_id": "b1", "observations": batch}
+            )
+            for (measure, group, query, location), value in expected.items():
+                status, trends = handle_trends(
+                    context,
+                    {
+                        "dataset": "d",
+                        "measure": measure,
+                        "group": group,
+                        "query": query,
+                        "location": location,
+                    },
+                )
+                assert status == 200
+                assert trends["points"] == [
+                    {
+                        "generation": document["generation"],
+                        "batch_id": "b1",
+                        "value": value,
+                        "alert": value is not None and value >= threshold,
+                    }
+                ], (measure, group, query, location)
+            assert 0 < document["alerts"] < len(expected)
+            assert document["alerts"] == sum(value >= threshold for value in defined)
+            return registry
+        finally:
+            registry.close()
+
+    @pytest.mark.parametrize("site_name", ["taskrabbit", "google"])
+    def test_cube_and_engine_sources_match_per_cell_values(
+        self, core, schema, site_name, site, small_marketplace_dataset,
+        small_search_dataset,
+    ):
+        materialized, unmaterialized = self.MEASURES[site_name]
+        dataset, batch = self._dataset_and_batch(
+            site_name, site, small_marketplace_dataset, small_search_dataset
+        )
+
+        def live(registry):
+            registry.fbox("d", materialized).cube  # materialize before ingest
+            registry.fbox("d", unmaterialized)
+
+        registry = self._run(
+            core, schema, site_name, dataset, batch,
+            (materialized, unmaterialized), live,
+        )
+        boxes = registry.live_fboxes("d")
+        assert boxes[materialized].materialized_cube is not None
+        assert boxes[unmaterialized].materialized_cube is None
+
+    @pytest.mark.parametrize("site_name", ["taskrabbit", "google"])
+    def test_default_measure_when_nothing_is_live(
+        self, core, schema, site_name, site, small_marketplace_dataset,
+        small_search_dataset,
+    ):
+        dataset, batch = self._dataset_and_batch(
+            site_name, site, small_marketplace_dataset, small_search_dataset
+        )
+        default = DatasetSpec(name="d", site=site_name, loader=None).default_measure
+        registry = self._run(
+            core, schema, site_name, dataset, batch, (default,), lambda _: None
+        )
+        assert registry.live_fboxes("d") == {}
 
 
 # ----------------------------------------------------------------------
