@@ -1,10 +1,11 @@
 """Microbenchmarks of the four unfairness measures.
 
-Besides the per-measure latency probes, this module prices the vectorized
-kernels against their loop-based reference implementations (the executable
-specifications the fast paths are equivalence-checked against) and gates
-the rewrite's reason to exist: the Kendall ``K^(p)`` kernel must beat its
-reference by at least 2x on realistic list sizes.  Writes
+Besides the per-measure latency probes, this module prices the fast
+kernels (the closed-form Kendall pair count, the shared-binning EMD) against
+their loop-based reference implementations (the executable specifications
+the fast paths are equivalence-checked against) and gates the rewrite's
+reason to exist: the Kendall ``K^(p)`` kernel must beat its reference by at
+least 2x on realistic list sizes.  Writes
 ``benchmarks/results/measures_micro.txt``.
 """
 
@@ -60,7 +61,7 @@ def test_exposure_micro(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Vectorized kernels vs their reference implementations
+# Fast kernels vs their reference implementations
 # ----------------------------------------------------------------------
 
 
@@ -75,9 +76,9 @@ def _best_seconds(fn, *args, loops: int = 20, repeats: int = 5) -> float:
 
 
 def test_kernels_vs_reference():
-    """The columnar-core PR's measure-kernel gate: the vectorized Kendall
-    kernel must be >= 2x its case-by-case reference on 200-item lists, and
-    both fast paths must agree with their references to the last bit."""
+    """The measure-kernel gate: the closed-form Kendall kernel must be >= 2x
+    its case-by-case reference on 200-item lists, and both fast paths must
+    agree with their references to the last bit."""
     rng = np.random.default_rng(1)
     left = RankedList([f"r{i}" for i in rng.permutation(200)])
     right = RankedList([f"r{i}" for i in rng.permutation(240)[:200]])
@@ -104,7 +105,7 @@ def test_kernels_vs_reference():
     emit(
         "measures_micro",
         render_table(
-            "Vectorized measure kernels vs reference implementations"
+            "Fast measure kernels vs reference implementations"
             " (best-of timings)",
             ("kernel", "fast us", "reference us", "speedup"),
             [

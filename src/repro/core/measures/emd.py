@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ...exceptions import MeasureError
-from ...stats.histograms import DEFAULT_BINS, UnitHistogram
+from ...stats.histograms import DEFAULT_BINS, UnitHistogram, bin_indices
 from ..rankings import RankedList
 
 __all__ = ["EmdMeasure", "emd", "emd_from_values", "emd_from_values_reference"]
@@ -36,24 +36,21 @@ def emd(left: UnitHistogram, right: UnitHistogram) -> float:
             f"cannot compare histograms with different bin counts "
             f"({left.bins} vs {right.bins})"
         )
-    left_pmf = left.pmf()
-    right_pmf = right.pmf()
-    bin_width = 1.0 / left.bins
+    return _pmf_distance(left.pmf(), right.pmf(), left.bins)
+
+
+def _pmf_distance(left_pmf: np.ndarray, right_pmf: np.ndarray, bins: int) -> float:
+    """The closed form: L1 distance between the two CDFs times the bin width."""
     cdf_gap = np.cumsum(left_pmf - right_pmf)
-    return float(np.abs(cdf_gap).sum() * bin_width)
+    return float(np.abs(cdf_gap).sum() * (1.0 / bins))
 
 
 def _counts(values: Iterable[float], bins: int) -> np.ndarray:
-    """Bin one score collection (same binning, validation, and error
-    messages as :meth:`UnitHistogram.from_values`, no histogram object)."""
-    data = np.asarray(list(values), dtype=float)
-    if data.size and (np.any(data < 0.0) or np.any(data > 1.0)):
-        bad = data[(data < 0.0) | (data > 1.0)][0]
-        raise MeasureError(f"histogram values must lie in [0, 1]; got {bad!r}")
-    if bins <= 0:
-        raise MeasureError(f"bin count must be positive, got {bins}")
-    counts, _ = np.histogram(data, bins=bins, range=(0.0, 1.0))
-    return counts.astype(float)
+    """Count one score collection into ``bins`` bins: the same
+    :func:`~repro.stats.histograms.bin_indices` binning, validation and
+    error messages as :meth:`UnitHistogram.from_values`, no histogram
+    object."""
+    return np.bincount(bin_indices(values, bins), minlength=bins).astype(float)
 
 
 def _normalize(counts: np.ndarray) -> np.ndarray:
@@ -72,8 +69,7 @@ def emd_from_values(
     two :class:`UnitHistogram` instances the reference path builds."""
     left = _counts(left_values, bins)
     right = _counts(right_values, bins)
-    cdf_gap = np.cumsum(_normalize(left) - _normalize(right))
-    return float(np.abs(cdf_gap).sum() * (1.0 / bins))
+    return _pmf_distance(_normalize(left), _normalize(right), bins)
 
 
 def emd_from_values_reference(
@@ -117,22 +113,29 @@ class EmdMeasure:
         comparable_members: Mapping[str, Sequence[str]],
     ) -> float:
         """§3.3.1: average EMD between the group's relevance histogram and
-        each populated comparable group's (the group-ranking protocol)."""
+        each populated comparable group's (the group-ranking protocol).
+
+        Each group's PMF is one ``np.bincount`` over its members' cached
+        :meth:`RankedList.relevance_bins`: the counts, and hence the
+        distances, are those of :func:`emd` on
+        :meth:`UnitHistogram.from_values` of the members' relevances.
+        """
         if not comparable_members:
             raise MeasureError("EMD needs at least one populated comparable group")
-        own = UnitHistogram.from_values(
-            [ranking.relevance(item) for item in group_members], bins=self.bins
+        binned = ranking.relevance_bins(self.bins)
+
+        def pmf(members: Sequence[str]) -> np.ndarray:
+            ranks = [ranking.rank(item) - 1 for item in members]
+            counts = np.bincount(binned[ranks], minlength=self.bins)
+            return _normalize(counts.astype(float))
+
+        own = pmf(group_members)
+        return statistics.fmean(
+            [
+                _pmf_distance(own, pmf(members), self.bins)
+                for members in comparable_members.values()
+            ]
         )
-        distances = [
-            emd(
-                own,
-                UnitHistogram.from_values(
-                    [ranking.relevance(item) for item in members], bins=self.bins
-                ),
-            )
-            for members in comparable_members.values()
-        ]
-        return statistics.fmean(distances)
 
 
 from .base import GROUP_RANKING, MeasureOption, register_measure  # noqa: E402

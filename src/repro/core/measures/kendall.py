@@ -25,9 +25,8 @@ contribute only the neutral penalty).
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
-
-import numpy as np
 
 from ...exceptions import MeasureError
 from ..rankings import RankedList
@@ -67,70 +66,60 @@ def kendall_tau_distance(
 ) -> float:
     """Compute the normalized ``K^(p)`` distance between two ranked lists.
 
-    Vectorized over the pair matrix: every case of the reference
-    implementation reduces to counting pairs, so the total penalty is
-    ``disagreements * 1 + unknowable_pairs * penalty`` — no per-pair python
-    loop.  :func:`kendall_tau_distance_reference` keeps the case-by-case
-    loop as the executable specification.
+    Closed form: every case of the module docstring reduces to an integer
+    pair count, so with ``s`` items shared by both lists and ``a``/``b``
+    items only in the left/right list, the total penalty is
+    ``disagreements * 1 + unknowable_pairs * penalty`` over the
+    ``C(s + a + b, 2)`` pairs of the union, where
+
+    * the disagreements are the inversions among the shared items (counted
+      with ``bisect`` in ``O(s log s)``), plus, in each list, the shared
+      items ranked *behind* each one-list item, plus the ``a * b`` split
+      pairs;
+    * the unknowable pairs are ``C(a, 2) + C(b, 2)``.
+
+    :func:`kendall_tau_distance_reference` keeps the case-by-case pair loop
+    as the executable specification.
     """
     if len(left) == 0 or len(right) == 0:
         raise MeasureError("cannot compare empty ranked lists with Kendall Tau")
-    left_pos = {item: index for index, item in enumerate(left.items)}
-    right_pos = {item: index for index, item in enumerate(right.items)}
-    universe = sorted(set(left_pos) | set(right_pos))
-    n = len(universe)
+    left_ranks, right_ranks = left.positions(), right.positions()
+    # Walk the left list keeping the shared items' right ranks sorted: each
+    # shared item is inverted with every earlier one ranked behind it on the
+    # right, and each left-only item disagrees with the shared items behind
+    # it (all of them minus the ones already seen).
+    shared: list[int] = []
+    ones = 0
+    for item in left.items:
+        rank = right_ranks.get(item)
+        if rank is None:
+            ones -= len(shared)
+        else:
+            ones += len(shared) - bisect_right(shared, rank)
+            insort(shared, rank)
+    only_left = len(left) - len(shared)
+    ones += only_left * len(shared)
+    # The same for each right-only item: ``position - only_right`` shared
+    # items are ahead of it on the right.
+    only_right = 0
+    for position, item in enumerate(right.items):
+        if item not in left_ranks:
+            ones += len(shared) - (position - only_right)
+            only_right += 1
+    ones += only_left * only_right
+    unknowns = only_left * (only_left - 1) // 2 + only_right * (only_right - 1) // 2
+    n = len(shared) + only_left + only_right
     pairs = n * (n - 1) // 2
     if pairs == 0:
         # Both lists are the same singleton.
         return 0.0
-
-    lp = np.array([left_pos.get(item, -1) for item in universe])
-    rp = np.array([right_pos.get(item, -1) for item in universe])
-    in_left = lp >= 0
-    in_right = rp >= 0
-
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)  # item_a index < item_b
-    both_left = in_left[:, None] & in_left[None, :]
-    both_right = in_right[:, None] & in_right[None, :]
-    left_ahead = lp[:, None] < lp[None, :]  # a before b in the left list
-    right_ahead = rp[:, None] < rp[None, :]
-
-    # Case 1 — both items in both lists: penalty 1 on opposite orders.
-    disagree = both_left & both_right & (left_ahead != right_ahead)
-
-    # Case 2 — both items in exactly one list.  If one of them also appears
-    # in the other list, the absent item is known to rank below it there, so
-    # the order is inferable: penalty 1 unless the shared item is ahead in
-    # the present list.  If neither appears elsewhere, penalty ``p``.
-    only_left = both_left & ~both_right
-    only_right = both_right & ~both_left
-    disagree |= only_left & (
-        (in_right[:, None] & ~left_ahead) | (in_right[None, :] & left_ahead)
-    )
-    disagree |= only_right & (
-        (in_left[:, None] & ~right_ahead) | (in_left[None, :] & right_ahead)
-    )
-    unknown = (only_left & ~in_right[:, None] & ~in_right[None, :]) | (
-        only_right & ~in_left[:, None] & ~in_left[None, :]
-    )
-
-    # Case 3 — the items are split across the lists: provably opposite orders.
-    left_only = in_left & ~in_right
-    right_only = in_right & ~in_left
-    disagree |= (left_only[:, None] & right_only[None, :]) | (
-        right_only[:, None] & left_only[None, :]
-    )
-
-    ones = int(np.count_nonzero(disagree & upper))
-    unknowns = int(np.count_nonzero(unknown & upper))
-    total = float(ones) + float(unknowns) * penalty
-    return total / pairs
+    return (float(ones) + float(unknowns) * penalty) / pairs
 
 
 def kendall_tau_distance_reference(
     left: RankedList, right: RankedList, penalty: float = 0.5
 ) -> float:
-    """The case-by-case pair loop the vectorized kernel is checked against."""
+    """The case-by-case pair loop the closed-form kernel is checked against."""
     if len(left) == 0 or len(right) == 0:
         raise MeasureError("cannot compare empty ranked lists with Kendall Tau")
     left_pos = {item: index for index, item in enumerate(left.items)}

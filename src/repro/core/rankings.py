@@ -21,7 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from ..exceptions import MeasureError
+from ..stats.histograms import bin_indices
 
 __all__ = ["RankedList", "relevance_from_rank", "exposure_from_rank"]
 
@@ -83,6 +86,8 @@ class RankedList:
         object.__setattr__(
             self, "_pos", {item: index + 1 for index, item in enumerate(items)}
         )
+        # Relevance bin of every item, per bin count, filled by relevance_bins.
+        object.__setattr__(self, "_bins", {})
 
     def __len__(self) -> int:
         return len(self.items)
@@ -91,9 +96,10 @@ class RankedList:
         return iter(self.items)
 
     def __contains__(self, item: object) -> bool:
-        return item in self._positions()
+        return item in self._pos
 
-    def _positions(self) -> dict[str, int]:
+    def positions(self) -> Mapping[str, int]:
+        """The 1-based rank of every item (the shared map; do not mutate)."""
         return self._pos
 
     def rank(self, item: str) -> int:
@@ -108,6 +114,20 @@ class RankedList:
         if self.scores is not None:
             return self.scores[item]
         return relevance_from_rank(self.rank(item), len(self))
+
+    def relevance_bins(self, bins: int) -> np.ndarray:
+        """The histogram bin of every item's :meth:`relevance`, in rank order.
+
+        Binned once per bin count and cached (read-only), so the EMD measure
+        histograms each group with one ``np.bincount`` instead of re-binning
+        the ranking's scores for every group and comparison.
+        """
+        binned = self._bins.get(bins)
+        if binned is None:
+            binned = bin_indices([self.relevance(item) for item in self.items], bins)
+            binned.setflags(write=False)
+            self._bins[bins] = binned
+        return binned
 
     def exposure(self, item: str) -> float:
         """Position-bias exposure ``1 / ln(1 + rank)`` of ``item``."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 from ..data.schema import MarketplaceDataset, SearchDataset
 from ..exceptions import DataError, MeasureError
@@ -337,19 +337,36 @@ class MarketplaceUnfairness:
         Bit-identical to :meth:`defined_for` then :meth:`unfairness` per
         group: the measure receives the same ``(ranking, members,
         populated)`` inputs in the same order, but each group's members are
-        resolved once per pair instead of once per cell and comparison.
+        resolved once per pair instead of once per cell and comparison, and
+        a group is matched against the ranking's few distinct attribute
+        profiles rather than against every worker.
         """
         if not self.dataset.has_observation(query, location):
             return [math.nan] * len(groups)
         ranking = self.dataset.observation(query, location).ranking
+        workers = self.dataset.workers
+        # Each ranked worker's profile key, in rank order, and one attribute
+        # mapping per distinct key to match groups against.
+        keys: list[tuple] = []
+        profiles: dict[tuple, Mapping[str, str]] = {}
+        for worker_id in ranking:
+            attributes = workers[worker_id].attributes
+            key = tuple(sorted(attributes.items()))
+            keys.append(key)
+            profiles.setdefault(key, attributes)
         resolved: dict[Group, list[str]] = {}
 
         def members(group: Group) -> list[str]:
             ids = resolved.get(group)
             if ids is None:
-                ids = resolved[group] = self.dataset.members_in_ranking(
-                    group, ranking
-                )
+                matching = {
+                    key for key, attrs in profiles.items() if group.matches(attrs)
+                }
+                ids = resolved[group] = [
+                    worker_id
+                    for worker_id, key in zip(ranking, keys)
+                    if key in matching
+                ]
             return ids
 
         values: list[float] = []

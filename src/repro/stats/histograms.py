@@ -17,10 +17,31 @@ import numpy as np
 
 from ..exceptions import MeasureError
 
-__all__ = ["UnitHistogram", "DEFAULT_BINS"]
+__all__ = ["UnitHistogram", "DEFAULT_BINS", "bin_indices"]
 
 DEFAULT_BINS = 10
 """Default bin count for score histograms (see DESIGN.md ablation #2)."""
+
+
+def bin_indices(values: Iterable[float], bins: int = DEFAULT_BINS) -> np.ndarray:
+    """The bin of every value on ``bins`` equal-width bins over ``[0, 1]``.
+
+    The edges are ``np.linspace(0, 1, bins + 1)``, numpy's own layout for a
+    histogram over ``range=(0, 1)``: bin ``i`` holds ``edges[i] <= x <
+    edges[i+1]`` and 1.0 falls into the last bin, so ``np.bincount`` of the
+    result equals numpy's histogram counts (``tests/test_histograms.py``).
+    Non-finite values are rejected with the out-of-range ones, not dropped.
+    """
+    data = np.asarray(list(values), dtype=float)
+    bad = ~np.isfinite(data) | (data < 0.0) | (data > 1.0)
+    if bad.any():
+        raise MeasureError(
+            f"histogram values must lie in [0, 1]; got {data[bad][0]!r}"
+        )
+    if bins <= 0:
+        raise MeasureError(f"bin count must be positive, got {bins}")
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    return np.minimum(np.searchsorted(edges, data, side="right") - 1, bins - 1)
 
 
 @dataclass(frozen=True)
@@ -49,14 +70,9 @@ class UnitHistogram:
 
     @classmethod
     def from_values(cls, values: Iterable[float], bins: int = DEFAULT_BINS) -> "UnitHistogram":
-        """Bin ``values`` (each in ``[0, 1]``) into ``bins`` equal-width bins."""
-        data = np.asarray(list(values), dtype=float)
-        if data.size and (np.any(data < 0.0) or np.any(data > 1.0)):
-            bad = data[(data < 0.0) | (data > 1.0)][0]
-            raise MeasureError(f"histogram values must lie in [0, 1]; got {bad!r}")
-        if bins <= 0:
-            raise MeasureError(f"bin count must be positive, got {bins}")
-        counts, _ = np.histogram(data, bins=bins, range=(0.0, 1.0))
+        """Count ``values`` (each in ``[0, 1]``) into ``bins`` equal-width bins
+        (see :func:`bin_indices` for the layout and validation)."""
+        counts = np.bincount(bin_indices(values, bins), minlength=bins)
         return cls(counts=counts.astype(float), bins=bins)
 
     @property

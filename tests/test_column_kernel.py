@@ -11,11 +11,15 @@ kernel, so this is the test that can catch drift in it.
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 import pytest
 
+from repro.core.fbox import FBox
 from repro.core.groups import group_lattice
+from repro.core.measures.emd import emd
+from repro.core.measures.kendall import kendall_tau_distance_reference
 from repro.core.measures.base import (
     GROUP_RANKING,
     RANKED_LIST,
@@ -35,6 +39,7 @@ from repro.data.schema import (
 )
 from repro.scenarios.build import build_scenario
 from repro.scenarios.presets import get_scenario
+from repro.stats.histograms import DEFAULT_BINS, UnitHistogram
 
 PROFILES = {
     "fb": {"gender": "Female", "ethnicity": "Black"},
@@ -187,3 +192,60 @@ def test_kernel_follows_the_given_group_order(schema):
     forward = engine.column(groups, "q1", "l2")
     backward = engine.column(groups[::-1], "q1", "l2")
     assert np.asarray(backward).tobytes() == np.asarray(forward[::-1]).tobytes()
+
+
+# ----------------------------------------------------------------------
+# The served measure kernels against their reference arithmetic, cube-wide
+# ----------------------------------------------------------------------
+
+
+def _np_histogram(ranking: RankedList, members) -> UnitHistogram:
+    scores = [ranking.relevance(item) for item in members]
+    counts, _ = np.histogram(scores, bins=DEFAULT_BINS, range=(0.0, 1.0))
+    return UnitHistogram(counts=counts.astype(float), bins=DEFAULT_BINS)
+
+
+class _HistogramEmd:
+    """§3.3.1 the plain way: ``np.histogram`` per group, then :func:`emd`."""
+
+    def group_value(self, ranking, group_members, comparable_members):
+        own = _np_histogram(ranking, group_members)
+        return statistics.fmean(
+            emd(own, _np_histogram(ranking, members))
+            for members in comparable_members.values()
+        )
+
+
+@pytest.fixture
+def reference_measures():
+    register_measure("emd-histogram-test", _HistogramEmd, family=GROUP_RANKING)
+    register_measure(
+        "kendall-reference-test",
+        lambda: kendall_tau_distance_reference,
+        family=RANKED_LIST,
+    )
+    yield "emd-histogram-test", "kendall-reference-test"
+    unregister_measure("emd-histogram-test")
+    unregister_measure("kendall-reference-test")
+
+
+def _cube_bytes(fbox: FBox) -> bytes:
+    return fbox.cube.values.tobytes()
+
+
+def test_served_cubes_equal_reference_kernels(
+    schema, paper_taskrabbit, paper_google, reference_measures
+):
+    """The cached-bin EMD and closed-form Kendall kernels build the same
+    cubes, byte for byte, as ``np.histogram`` + :func:`emd` and the
+    case-by-case Kendall reference."""
+    emd_reference, kendall_reference = reference_measures
+    served = FBox.for_marketplace(paper_taskrabbit, schema, measure="emd")
+    reference = FBox.for_marketplace(paper_taskrabbit, schema, measure=emd_reference)
+    assert _cube_bytes(served) == _cube_bytes(reference)
+    assert not np.isnan(served.cube.values).all()
+
+    served = FBox.for_search(paper_google, schema, measure="kendall")
+    reference = FBox.for_search(paper_google, schema, measure=kendall_reference)
+    assert _cube_bytes(served) == _cube_bytes(reference)
+    assert not np.isnan(served.cube.values).all()

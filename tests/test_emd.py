@@ -82,6 +82,14 @@ class TestErrors:
         with pytest.raises(MeasureError, match="empty"):
             emd_from_values([], [0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_rejected_as_out_of_range(self, bad):
+        # Not "cannot normalize an empty histogram": the score is invalid.
+        with pytest.raises(MeasureError, match=r"lie in \[0, 1\]"):
+            emd_from_values([bad], [0.9])
+        with pytest.raises(MeasureError, match=r"lie in \[0, 1\]"):
+            emd_from_values([0.2, 0.4], [0.9, bad])
+
     def test_measure_object_validates_bins(self):
         with pytest.raises(MeasureError, match="positive"):
             EmdMeasure(bins=0)

@@ -8,7 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import MeasureError
-from repro.stats.histograms import DEFAULT_BINS, UnitHistogram, pooled_histogram
+from repro.stats.histograms import (
+    DEFAULT_BINS,
+    UnitHistogram,
+    bin_indices,
+    pooled_histogram,
+)
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -31,6 +36,12 @@ class TestConstruction:
     def test_rejects_negative_values(self):
         with pytest.raises(MeasureError):
             UnitHistogram.from_values([-0.1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        # NaN passes both range comparisons; it must not be dropped silently.
+        with pytest.raises(MeasureError, match=r"lie in \[0, 1\]"):
+            UnitHistogram.from_values([0.2, bad, 0.9])
 
     def test_rejects_nonpositive_bins(self):
         with pytest.raises(MeasureError, match="positive"):
@@ -102,3 +113,40 @@ class TestMerge:
 
     def test_default_bins(self):
         assert UnitHistogram.from_values([0.5]).bins == DEFAULT_BINS
+
+
+# Every edge of the layout, the floats either side of it, and a grid.
+def _edge_values(bins: int) -> np.ndarray:
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    values = np.concatenate(
+        [
+            edges,
+            np.nextafter(edges, np.inf),
+            np.nextafter(edges, -np.inf),
+            [0.0, 1.0],
+            np.arange(1001) / 1000,
+        ]
+    )
+    return values[(values >= 0.0) & (values <= 1.0)]
+
+
+def _histogram_counts(values, bins: int) -> np.ndarray:
+    return np.histogram(np.asarray(values, dtype=float), bins=bins, range=(0.0, 1.0))[0]
+
+
+class TestBinIndices:
+    """``bin_indices`` counts exactly as ``np.histogram`` over ``range=(0, 1)``."""
+
+    @pytest.mark.parametrize("bins", [*range(1, 65), 1000])
+    def test_counts_equal_np_histogram_at_every_edge(self, bins):
+        values = _edge_values(bins)
+        counts = np.bincount(bin_indices(values, bins), minlength=bins)
+        assert np.array_equal(counts, _histogram_counts(values, bins))
+
+    @given(
+        st.lists(unit_floats, max_size=50),
+        st.one_of(st.integers(min_value=1, max_value=64), st.just(1000)),
+    )
+    def test_counts_equal_np_histogram_on_drawn_floats(self, values, bins):
+        counts = np.bincount(bin_indices(values, bins), minlength=bins)
+        assert np.array_equal(counts, _histogram_counts(values, bins))

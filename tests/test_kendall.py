@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.core.measures.kendall import KendallTauMeasure, kendall_tau_distance
+from repro.core.measures.kendall import (
+    KendallTauMeasure,
+    kendall_tau_distance,
+    kendall_tau_distance_reference,
+)
 from repro.core.rankings import RankedList
 from repro.exceptions import MeasureError
 
@@ -100,3 +104,35 @@ class TestMeasureObject:
     def test_distance_always_in_unit_interval(self, left, right):
         value = kendall_tau_distance(RankedList(left), RankedList(right))
         assert 0.0 <= value <= 1.0
+
+
+# Top-k lists over a 40-item universe: overlapping, disjoint or singletons.
+top_k_lists = st.lists(
+    st.integers(min_value=0, max_value=39).map(lambda i: f"r{i}"),
+    min_size=1,
+    max_size=30,
+    unique=True,
+).map(RankedList)
+
+
+class TestAgainstReference:
+    """The closed-form kernel against the case-by-case pair loop."""
+
+    @given(top_k_lists, top_k_lists)
+    @example(RankedList(["a"]), RankedList(["a"]))
+    @example(RankedList(["a"]), RankedList(["b"]))
+    @example(RankedList(["a", "b", "c"]), RankedList(["d", "e"]))
+    @example(RankedList(["a", "b", "c"]), RankedList(["c", "b", "a"]))
+    @example(RankedList(["x", "a", "y", "b"]), RankedList(["b", "z", "a"]))
+    def test_exact_for_dyadic_penalties(self, left, right):
+        # ``ones + unknowns * p`` is exact for these p in either summation order.
+        for penalty in (0.0, 0.25, 0.5, 1.0):
+            assert kendall_tau_distance(left, right, penalty) == (
+                kendall_tau_distance_reference(left, right, penalty)
+            )
+
+    @given(top_k_lists, top_k_lists, st.floats(min_value=0.0, max_value=1.0))
+    def test_close_for_any_penalty(self, left, right, penalty):
+        assert kendall_tau_distance(left, right, penalty) == pytest.approx(
+            kendall_tau_distance_reference(left, right, penalty), abs=1e-12
+        )
