@@ -1,30 +1,26 @@
-"""Backend contention: cheap-request p50/p99 while slow work is in flight.
+"""Transport contention: cheap-request p50/p99 while slow work is in flight.
 
 The question the asyncio transport exists to answer: what happens to a
 *cheap* request (a warm ``/quantify`` cache hit on one keep-alive
 connection) when the server is simultaneously doing *slow* CPU-bound
-work?  Three conditions, measured on both backends:
+work?  Three conditions:
 
 * **idle** — nothing else in flight; the floor.
 * **builds in flight** — one background client cold-touches a chain of
   unbuilt datasets, so a dataset build (crawl + cube + index) is in
   flight for the whole window.  The registry's lock serializes builds,
-  so both backends face exactly one GIL-holding builder; neither can do
+  so the server faces exactly one GIL-holding builder and can do no
   better than the interpreter allows.
 * **cold-sweep streams** — six concurrent clients each hammer uncached
-  top-k sweeps (distinct ``k`` → every request a cache miss).  Here the
-  architectures diverge: the threaded backend gives each stream its own
-  OS thread, so six sweeps fight the cheap request for the GIL at once;
-  the asyncio backend (``executor_workers=1``) funnels them through one
-  executor thread, and the cheap hit is answered on the event loop's
-  fast path without ever queueing behind them.
+  top-k sweeps (distinct ``k`` → every request a cache miss).  The server
+  (``executor_workers=1``) funnels them through one executor thread, and
+  the cheap hit is answered on the event loop's fast path without ever
+  queueing behind them.
 
 Caveat for reading the numbers: on a single-core box even ONE background
 CPU burner puts a GIL-scheduling floor of several milliseconds under any
-sub-millisecond request, whichever backend is serving it.  The claim the
-bench asserts is therefore relative: the asyncio backend's loaded p99
-stays near that floor (bounded by ``max(2 x idle p99, GIL_FLOOR)``)
-while the threaded backend's grows with the number of streams.
+sub-millisecond request.  The bench therefore asserts that the loaded p99
+stays near that floor: at most ``max(2 x idle p99, GIL_FLOOR)``.
 
 Writes ``benchmarks/results/backend_contention.txt``.
 """
@@ -85,8 +81,8 @@ def _registry(seed_base: int) -> DatasetRegistry:
     registry.register(
         DatasetSpec(name="taskrabbit", site="taskrabbit", loader=lambda: hot)
     )
-    # Unbuilt datasets for the build phase; distinct seeds per backend so
-    # the builder's memoization never turns a build into a cache hit.
+    # Unbuilt datasets for the build phase; distinct seeds so the
+    # builder's memoization never turns a build into a cache hit.
     for index in range(BUILD_DATASETS):
         seed = seed_base + index
         registry.register(
@@ -159,13 +155,12 @@ def _sweep_phase(server) -> list[float]:
     return latencies
 
 
-def _run_backend(backend: str, seed_base: int) -> dict:
+def _run(seed_base: int) -> dict:
     server = make_server(
         registry=_registry(seed_base),
         port=0,
         request_timeout=60.0,
         max_concurrency=0,  # no shedding: measure raw contention
-        backend=backend,
         executor_workers=1,
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -193,50 +188,41 @@ def _run_backend(backend: str, seed_base: int) -> dict:
 
 
 def test_backend_contention():
-    threads = _run_backend("threads", seed_base=100)
-    aio = _run_backend("asyncio", seed_base=200)
+    result = _run(seed_base=200)
 
     lines = [
-        "Backend contention — cheap /quantify p50/p99 while slow work runs",
+        "Transport contention — cheap /quantify p50/p99 while slow work runs",
         "(one keep-alive client; six-city TaskRabbit crawl; admission off;",
-        f" asyncio executor_workers=1; {SWEEP_STREAMS} cold-sweep streams)",
+        f" executor_workers=1; {SWEEP_STREAMS} cold-sweep streams)",
         "=" * 68,
         "",
-        f"{'phase':<22} {'backend':<9} {'requests':>8} {'p50 ms':>9} {'p99 ms':>9}",
-        f"{'-' * 22} {'-' * 9} {'-' * 8} {'-' * 9} {'-' * 9}",
+        f"{'phase':<22} {'requests':>8} {'p50 ms':>9} {'p99 ms':>9}",
+        f"{'-' * 22} {'-' * 8} {'-' * 9} {'-' * 9}",
     ]
     for phase, label in (
         ("idle", "idle"),
         ("builds", "builds in flight"),
         ("sweeps", f"{SWEEP_STREAMS} sweep streams"),
     ):
-        for backend, result in (("threads", threads), ("asyncio", aio)):
-            row = result[phase]
-            lines.append(
-                f"{label:<22} {backend:<9} {row['count']:>8} "
-                f"{row['p50'] * 1000.0:>9.3f} {row['p99'] * 1000.0:>9.3f}"
-            )
+        row = result[phase]
+        lines.append(
+            f"{label:<22} {row['count']:>8} "
+            f"{row['p50'] * 1000.0:>9.3f} {row['p99'] * 1000.0:>9.3f}"
+        )
     lines += [
         "",
-        "Builds serialize on the registry lock, so both backends face one",
-        "GIL-holding builder and degrade alike.  The sweep streams are the",
-        "contrast: the threaded backend runs one OS thread per stream and",
-        "the cheap request queues behind all of them for the GIL, while",
-        "the asyncio backend caps CPU concurrency at one executor worker",
-        "and answers the warm hit on the event loop's fast path.",
+        "Builds serialize on the registry lock, so the server faces one",
+        "GIL-holding builder.  Under the sweep streams CPU concurrency is",
+        "capped at one executor worker and the warm hit is answered on the",
+        "event loop's fast path, so the cheap request stays near its idle",
+        f"p99 (gate: at most max(2 x idle p99, {GIL_FLOOR_SECONDS * 1000:.0f} ms)).",
     ]
     emit("backend_contention", "\n".join(lines))
 
-    # Sanity: the idle floor is sub-GIL-floor on both backends.
-    assert threads["idle"]["p99"] < GIL_FLOOR_SECONDS
-    assert aio["idle"]["p99"] < GIL_FLOOR_SECONDS
-    # Under the sweep streams the threaded backend degrades with the
-    # stream count — even its MEDIAN queues behind the six sweeps...
-    assert threads["sweeps"]["p99"] >= 3.0 * threads["idle"]["p99"]
-    assert aio["sweeps"]["p50"] * 4.0 <= threads["sweeps"]["p50"]
-    # ...while the asyncio backend stays near its idle p99 (up to the
-    # single-core GIL floor) and below the threaded backend.
-    assert aio["sweeps"]["p99"] <= max(
-        2.0 * aio["idle"]["p99"], GIL_FLOOR_SECONDS
+    # Sanity: the idle floor is sub-GIL-floor.
+    assert result["idle"]["p99"] < GIL_FLOOR_SECONDS
+    # Under the sweep streams the cheap request stays near its idle p99
+    # (up to the single-core GIL floor).
+    assert result["sweeps"]["p99"] <= max(
+        2.0 * result["idle"]["p99"], GIL_FLOOR_SECONDS
     )
-    assert aio["sweeps"]["p99"] * 1.5 <= threads["sweeps"]["p99"]

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Smoke test for the F-Box query service, in five passes:
+# Smoke test for the F-Box query service, in eight passes:
 #
 #   1. plain boot: /healthz, /readyz, /quantify, /batch, /metrics;
 #   2. chaos (breaker): boot with FBOX_FAULTS making the google loader crash
@@ -10,8 +10,8 @@
 #      a last-known-good answer marked `"degraded": true`;
 #   4. sharded: boot with `--shards 2` and drive the versioned /v1 API —
 #      queries answered by both worker processes, a cross-shard /batch,
-#      worker build counts merged into /metrics, and the deprecation
-#      headers on legacy unversioned paths;
+#      worker build counts merged into /metrics, and a retired unversioned
+#      path answering 410 + `v1_path` with no Deprecation header;
 #   5. live ingest: boot sharded with a tiny --alert-threshold, stream a
 #      simulated re-crawl batch through `repro ingest`, replay it (must be
 #      idempotent), then read the per-generation trend points from
@@ -32,13 +32,7 @@
 #      `repro loadgen --quick` — the run must finish with zero hard
 #      failures and non-zero throughput.
 #
-# All eight passes run once per transport backend (`--backend threads`,
-# then `--backend asyncio`) — the two fronts share one application layer,
-# so every pass must behave identically on both.
-#
-# Unversioned paths are retired (410 by default); pass 1 asserts the 410
-# pointer, pass 4 boots with `--legacy-routes serve` to cover the
-# deprecated straggler passthrough.
+# Unversioned paths are retired: passes 1 and 4 assert the 410 pointer.
 #
 # Exits nonzero on any failure.
 #
@@ -68,7 +62,7 @@ cleanup() {
 trap cleanup EXIT
 
 fail() {
-    echo "smoke[${BACKEND:-}]: $1" >&2
+    echo "smoke: $1" >&2
     echo "--- server log ---" >&2
     cat "$LOG" >&2
     exit 1
@@ -109,15 +103,13 @@ except Exception:
 EOF
 }
 
-# boot_server <extra serve args...> — starts `repro serve` on a fresh port
-# with the current $BACKEND transport, waits for /healthz, and sets
-# BASE/SERVER_PID.  FBOX_FAULTS is inherited from the caller's environment.
+# boot_server <extra serve args...> — starts `repro serve` on a fresh port,
+# waits for /healthz, and sets BASE/SERVER_PID.  FBOX_FAULTS is inherited from the caller's environment.
 boot_server() {
     PORT="$(pick_port)" || fail "could not pick a free port"
     BASE="http://127.0.0.1:${PORT}"
     : >"$LOG"
-    python3 -m repro serve --port "$PORT" --scope small \
-        --backend "$BACKEND" "$@" >"$LOG" 2>&1 &
+    python3 -m repro serve --port "$PORT" --scope small "$@" >"$LOG" 2>&1 &
     SERVER_PID=$!
     local deadline=$((SECONDS + TIMEOUT))
     while true; do
@@ -152,8 +144,6 @@ expect() {
     [ "$status" = "$want" ] || fail "$label answered $result (wanted $want)"
     printf '%s\n' "${result#* }"
 }
-
-run_passes() {
 
 # ----------------------------------------------------------------------
 # Pass 1: plain service
@@ -266,9 +256,7 @@ stop_server
 # Pass 4: sharded execution (--shards 2) behind the versioned /v1 API
 # ----------------------------------------------------------------------
 
-# --legacy-routes serve keeps the straggler passthrough alive so the
-# RFC 8594 deprecation headers stay covered.
-boot_server --shards 2 --legacy-routes serve
+boot_server --shards 2
 expect 200 "sharded readyz" GET "$BASE/v1/readyz" >/dev/null
 
 BODY="$(expect 200 "sharded quantify (taskrabbit)" POST "$BASE/v1/quantify" '{"dataset": "taskrabbit", "dimension": "group", "k": 3}')"
@@ -293,12 +281,18 @@ case "$BODY" in
 esac
 echo "smoke: sharded metrics merge ok"
 
-# Legacy unversioned paths still answer, flagged deprecated; /v1 is clean.
+# A retired unversioned path answers 410 with its /v1 pointer and carries
+# no deprecation headers (nothing is served there any more); /v1 is clean.
+BODY="$(expect 410 "retired legacy path (sharded)" POST "$BASE/quantify" '{"dataset": "taskrabbit", "dimension": "group", "k": 3}')"
+case "$BODY" in
+    *'"v1_path": "/v1/quantify"'*|*'"v1_path":"/v1/quantify"'*) ;;
+    *) fail "410 body lacks the v1_path pointer: $BODY" ;;
+esac
 DEPRECATION="$(http_header "$BASE/healthz" Deprecation)"
-[ "$DEPRECATION" = "true" ] || fail "legacy path lacks Deprecation: true header"
+[ -z "$DEPRECATION" ] || fail "retired path unexpectedly carries a Deprecation header"
 DEPRECATION="$(http_header "$BASE/v1/healthz" Deprecation)"
 [ -z "$DEPRECATION" ] || fail "/v1 path unexpectedly carries a Deprecation header"
-echo "smoke: deprecation headers ok"
+echo "smoke: retired-path 410 ok (no deprecation headers)"
 
 BODY="$(expect 200 "schema" GET "$BASE/v1/schema")"
 case "$BODY" in
@@ -559,14 +553,6 @@ python3 -c "import sys; sys.exit(0 if float('${THROUGHPUT:-0}') > 0 else 1)" \
     || fail "loadgen measured no throughput: $LOADGEN_OUT"
 echo "smoke: loadgen mix ok (zero hard failures, ${THROUGHPUT} req/s)"
 stop_server
-
-}
-
-for BACKEND in threads asyncio; do
-    echo "smoke: === backend $BACKEND ==="
-    run_passes
-    echo "smoke: backend $BACKEND PASS"
-done
 
 echo "smoke: PASS"
 exit 0

@@ -96,9 +96,8 @@ class FBoxClient:
     Endpoint sugar (``quantify``, ``datasets``, ...) speaks the versioned
     ``/v1`` API exclusively — there is no legacy fallback.  The raw
     :meth:`request`/:meth:`post`/:meth:`get` methods use whatever path the
-    caller passes; note that servers answer unversioned paths with a
-    non-retryable ``410 gone`` by default (``--legacy-routes serve``
-    restores the deprecated passthrough).
+    caller passes; note that servers answer known unversioned paths with
+    a non-retryable ``410 gone`` carrying a ``v1_path`` pointer.
     """
 
     api_prefix = "/v1"

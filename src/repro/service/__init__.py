@@ -43,7 +43,7 @@ from .resilience import AdmissionController, BreakerConfig, CircuitBreaker
 # is resolved lazily: importing the application layer — or any module it
 # depends on — must never pull in http.server or asyncio streams.  The
 # layering test asserts exactly that.
-_SERVER_EXPORTS = ("AioFBoxServer", "FBoxServer", "make_server", "serve")
+_SERVER_EXPORTS = ("AioFBoxServer", "make_server", "serve")
 
 
 def __getattr__(name: str):
@@ -64,7 +64,6 @@ __all__ = [
     "DatasetRegistry",
     "DatasetSpec",
     "default_registry",
-    "FBoxServer",
     "AioFBoxServer",
     "make_server",
     "serve",

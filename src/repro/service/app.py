@@ -3,22 +3,22 @@
 :class:`FBoxApp` owns everything about answering a fairness query that is
 *not* socket handling: the routing table, body-framing policy, request
 validation, admission control, the per-request deadline, the result cache
-and last-known-good store, degraded answers, and metrics.  Transports
-(:mod:`repro.service.transports`) are thin adapters that parse HTTP off a
-socket, build a :class:`Request`, and write the returned :class:`Response`
-back — nothing in this module imports :mod:`http.server` or asyncio's
-streams, which is what lets one application instance sit behind both the
-threaded and the asyncio front-ends with byte-identical behavior.
+and last-known-good store, degraded answers, and metrics.  The transport
+(:mod:`repro.service.transports.aio`) is a thin adapter that parses HTTP
+off a socket, builds a :class:`Request`, and writes the returned
+:class:`Response` back — nothing in this module imports :mod:`http.server`
+or asyncio's streams.
 
 The app also owns the **execution layer**: a bounded
 :class:`~concurrent.futures.ThreadPoolExecutor` sized by
-``executor_workers``.  The asyncio transport runs every CPU-bound F-Box
-call (dataset loads, cube/index builds, TA sweeps) on this pool via
-:meth:`FBoxApp.handle_async`, so the event loop never blocks and thread
-count is a capacity knob.  The threaded transport keeps the legacy
-guard-thread model (:func:`run_with_deadline`) it always had — one worker
-thread per admitted request — which is exactly the unbounded behavior the
-asyncio front replaces.
+``executor_workers``.  Every CPU-bound F-Box call (dataset loads,
+cube/index builds, TA sweeps) runs on this pool, so the event loop never
+blocks and thread count is a capacity knob.  The pool is also the one
+deadline model: a request waits for its pool task at most
+``request_timeout`` seconds — awaited on the event loop
+(:meth:`FBoxApp._execute_async`) or blocked on by a shard worker's
+connection thread (:meth:`FBoxApp._execute_sync`) — and a task that
+outlives it is *abandoned* (counted, and a late failure logged once).
 
 Two flows through the POST pipeline:
 
@@ -26,9 +26,9 @@ Two flows through the POST pipeline:
   answer is already cached is parsed, peeked, and answered inline without
   touching admission control or the executor.  This is what keeps cheap
   repeated queries out of the queue behind expensive builds.
-* **slow path** — parse, admission (sync or async acquire, same counters),
-  deadline-bounded execution, and on timeout/open-breaker an opt-in
-  degraded answer from the last-known-good store.
+* **slow path** — parse, async admission, deadline-bounded execution on
+  the pool, and on timeout/open-breaker an opt-in degraded answer from the
+  last-known-good store.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .errors import (
 from .faults import FaultInjector, faults_from_env
 from .handlers import (
     API_PREFIX,
-    LEGACY_SUNSET,
     REQUEST_PARSERS,
     ServiceContext,
     handle_batch,
@@ -87,7 +86,6 @@ __all__ = [
     "Response",
     "format_retry_after",
     "make_app",
-    "run_with_deadline",
 ]
 
 _logger = logging.getLogger("repro.service")
@@ -134,10 +132,6 @@ GET_ROUTES = {
     "/trends": handle_trends,
 }
 
-LEGACY_MODES = ("serve", "gone")
-"""``--legacy-routes`` values: keep answering unversioned paths with
-deprecation headers, or retire them with 410 + a ``v1_path`` pointer."""
-
 _METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
@@ -168,19 +162,13 @@ class Request:
 
 @dataclass
 class Response:
-    """What the transport must write back: status, body, framing hints.
-
-    ``headers`` carries extra response headers the app decided on (today:
-    the ``Deprecation``/``Sunset`` pair on legacy unversioned paths); the
-    transport writes them mechanically after its own framing headers.
-    """
+    """What the transport must write back: status, body, framing hints."""
 
     status: int
     body: bytes
     content_type: str = "application/json"
     retry_after: float | None = None
     close: bool = False
-    headers: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -191,8 +179,8 @@ class BodyPlan:
     body, or — on a rejection — discard ``drain`` bytes (marking the
     connection for close if the drain fails), set ``close`` when the
     framing is beyond repair, and deliver ``error`` via
-    ``Request.framing_error``.  Keeping the decision here means both
-    transports resync keep-alive connections identically.
+    ``Request.framing_error``.  Keeping the decision here keeps the
+    transport free of policy.
     """
 
     read: int = 0
@@ -242,57 +230,8 @@ def _internal_error_body(error: BaseException) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Deadline execution (legacy guard-thread model, used by the threaded
-# transport; the asyncio transport uses the app's bounded executor)
+# Deadline errors
 # ----------------------------------------------------------------------
-
-
-def run_with_deadline(fn, timeout: float | None, metrics: ServiceMetrics | None = None):
-    """Run ``fn`` on a guard thread, raising 503 after ``timeout`` seconds.
-
-    When the deadline fires, the worker thread is *abandoned*, not killed:
-    it keeps running (a successful late result still warms caches), the
-    ``abandoned_requests`` counter is bumped, and — the part that used to be
-    silently discarded — any exception the abandoned worker eventually
-    raises is logged under ``repro.service``.  The abandoned flag is flipped
-    under a lock shared with the worker's error path so a failure racing the
-    deadline is reported on exactly one side, never dropped.
-    """
-    if not timeout or timeout <= 0:
-        return fn()
-    outcome: dict = {}
-    done = threading.Event()
-    lock = threading.Lock()
-    state = {"abandoned": False}
-
-    def worker() -> None:
-        try:
-            value = fn()
-            with lock:
-                outcome["value"] = value
-        except BaseException as error:  # propagated to the request thread
-            with lock:
-                outcome["error"] = error
-                if state["abandoned"]:
-                    _log_abandoned_failure(error)
-        finally:
-            done.set()
-
-    threading.Thread(target=worker, daemon=True).start()
-    if done.wait(timeout):
-        if "error" in outcome:
-            raise outcome["error"]
-        return outcome["value"]
-    with lock:
-        state["abandoned"] = True
-        late_error = outcome.get("error")
-    if metrics is not None:
-        metrics.record_abandoned()
-    if late_error is not None:
-        # The worker failed in the instant between the wait expiring and the
-        # abandon flag being set; report it here instead.
-        _log_abandoned_failure(late_error)
-    raise _deadline_error(timeout)
 
 
 def _deadline_error(timeout: float) -> RequestTimeout:
@@ -318,7 +257,7 @@ def _log_abandoned_failure(error: BaseException) -> None:
 class FBoxApp:
     """The transport-agnostic F-Box service: routing, policy, execution.
 
-    One instance is shared by every connection of whichever transport
+    One instance is shared by every connection of the transport that
     fronts it; all state (context, executor, drain flag) is internally
     synchronized.  ``max_body_bytes`` / ``max_drain_bytes`` are instance
     attributes so tests can tighten framing limits per-app instead of
@@ -331,17 +270,11 @@ class FBoxApp:
         request_timeout: float | None = 30.0,
         executor_workers: int | None = None,
         admin_token: str | None = None,
-        legacy_routes: str = "gone",
     ) -> None:
-        if legacy_routes not in LEGACY_MODES:
-            raise ValueError(
-                f"legacy_routes must be one of {LEGACY_MODES}, got {legacy_routes!r}"
-            )
         self.context = context
         self.request_timeout = request_timeout
         self.executor_workers = executor_workers
         self.admin_token = admin_token
-        self.legacy_routes = legacy_routes
         self._register_lock = threading.Lock()
         self.max_body_bytes = 1 << 20  # 1 MiB is plenty for query parameters
         self.max_drain_bytes = 8 << 20  # past this, closing beats draining
@@ -362,9 +295,9 @@ class FBoxApp:
     def begin_shutdown(self) -> None:
         """Stop admitting new requests; in-flight and queued ones complete.
 
-        New arrivals — on either transport — get a 503 ``shutting_down``
-        with ``Connection: close``; the transport's ``drain()`` then waits
-        for the in-flight gauge to reach zero before stopping the listener.
+        New arrivals get a 503 ``shutting_down`` with ``Connection:
+        close``; the transport's ``drain()`` then waits for the in-flight
+        gauge to reach zero before stopping the listener.
         """
         self._draining = True
 
@@ -399,7 +332,7 @@ class FBoxApp:
             return self._executor
 
     # ------------------------------------------------------------------
-    # Body framing policy (shared by both transports)
+    # Body framing policy
     # ------------------------------------------------------------------
 
     def plan_body(self, length_header: str | None) -> BodyPlan:
@@ -431,16 +364,16 @@ class FBoxApp:
         return BodyPlan(read=length)
 
     # ------------------------------------------------------------------
-    # The sync surface (threaded transport)
+    # The request surface
     # ------------------------------------------------------------------
 
     def canonical_path(self, path: str) -> tuple[str, bool]:
         """Strip the ``/v1`` mount point: ``(unversioned path, is_legacy)``.
 
         Routing, handlers, and metrics labels all work on the canonical
-        unversioned path, so ``/v1/quantify`` and ``/quantify`` share one
-        route entry, one cache, and one ``endpoint`` label — the version
-        prefix only decides whether deprecation headers are attached.
+        unversioned path, so every ``/v1/<endpoint>`` shares one route
+        entry, one cache, and one ``endpoint`` label; ``is_legacy`` marks a
+        path sent without the mount, which is retired (410 or 404).
         """
         if path == API_PREFIX:
             return "/", False
@@ -450,35 +383,50 @@ class FBoxApp:
 
     def is_post_route(self, path: str) -> bool:
         """Whether a raw (possibly versioned) path maps to a POST endpoint
-        — the transports' body-read gate."""
+        — the transport's body-read gate."""
         return self.canonical_path(path)[0] in self.post_routes
 
     def handle(self, request: Request) -> Response:
-        """Answer one request synchronously (threaded transport).
+        """Answer one request from a caller without an event loop.
 
-        CPU-bound work runs under the legacy guard-thread deadline
-        (:func:`run_with_deadline`) on the calling thread's behalf.
+        A thin wrapper that runs the single async pipeline to completion on
+        a private loop (about a quarter millisecond of set-up per call): for
+        in-process drivers such as reference oracles, never for serving.
         """
+        return asyncio.run(self._handle_async(request))
+
+    def handle_async(self, request: Request):
+        """Answer one request on the event loop (the transport's entry).
+
+        Returns an awaitable.  GET endpoints and the cached fast path run
+        inline (they only touch synchronized in-memory state); POST query
+        work is admitted via the controller's async path and executed on
+        the bounded thread pool under an ``asyncio.wait_for`` deadline.
+        """
+        return self._handle_async(request)
+
+    async def _handle_async(self, request: Request) -> Response:
         request.path, legacy = self.canonical_path(request.path)
-        if legacy:
-            retired = self._legacy_gone(request)
-            if retired is not None:
-                return self._finish(request, retired)
-        route = self._route(request)
+        route = self._legacy_gone(request) if legacy else None
+        if route is None:
+            route = self._route(request)
         if isinstance(route, Response):
-            return self._finish(request, route, legacy)
-        endpoint, run = route
-        if run is None:
-            run = lambda: self.run_post(request)  # noqa: E731
-        return self._finish(request, self._tracked(endpoint, run), legacy)
+            response = route
+        else:
+            endpoint, run = route
+            if run is None:
+                run = lambda: self._run_post_async(request)  # noqa: E731
+            response = await self._tracked(endpoint, run)
+        if request.close:
+            response.close = True
+        return response
 
     def _route(self, request: Request):
-        """Shared routing: a ready :class:`Response`, or ``(endpoint, run)``.
+        """Routing: a ready :class:`Response`, or ``(endpoint, run)``.
 
         ``run`` is a zero-argument callable returning ``(status, document)``
-        for everything except the POST query pipeline, which the sync and
-        async surfaces execute differently (guard thread vs executor) —
-        those return ``(endpoint, None)`` and are dispatched by the caller.
+        for everything except the POST query pipeline, which returns
+        ``(endpoint, None)`` and is dispatched by the caller.
         """
         if self._draining:
             return self._shutdown_response()
@@ -508,56 +456,13 @@ class FBoxApp:
             NotFound(f"no such endpoint: {request.method} {request.path}")
         )
 
-    def handle_async(self, request: Request):
-        """Answer one request on the event loop (asyncio transport).
-
-        Returns an awaitable.  GET endpoints and the cached fast path run
-        inline (they only touch synchronized in-memory state); POST query
-        work is admitted via the controller's async path and executed on
-        the bounded thread pool under an ``asyncio.wait_for`` deadline.
-        """
-        return self._handle_async(request)
-
-    async def _handle_async(self, request: Request) -> Response:
-        request.path, legacy = self.canonical_path(request.path)
-        if legacy:
-            retired = self._legacy_gone(request)
-            if retired is not None:
-                return self._finish(request, retired)
-        route = self._route(request)
-        if isinstance(route, Response):
-            return self._finish(request, route, legacy)
-        endpoint, run = route
-        if run is not None:
-            return self._finish(request, self._tracked(endpoint, run), legacy)
-        response = await self._tracked_async(
-            endpoint, lambda: self._run_post_async(request)
-        )
-        return self._finish(request, response, legacy)
-
-    def _finish(
-        self, request: Request, response: Response, legacy: bool = False
-    ) -> Response:
-        if request.close:
-            response.close = True
-        if legacy:
-            # RFC 8594-style deprecation signalling on unversioned paths;
-            # the response itself stays byte-identical to /v1.
-            response.headers.setdefault("Deprecation", "true")
-            response.headers.setdefault("Sunset", LEGACY_SUNSET)
-        return response
-
     def _legacy_gone(self, request: Request) -> Response | None:
-        """410 for retired unversioned paths (``--legacy-routes gone``).
+        """410 for a retired unversioned path, with a ``v1_path`` pointer.
 
         Only paths that *would* route get the pointer — an unknown legacy
-        path stays an ordinary 404, so probes don't learn retired-route
-        names that never existed.  In ``serve`` mode this returns ``None``
-        and the deprecated passthrough (headers attached by
-        :meth:`_finish`) still answers.
+        path returns ``None`` and becomes an ordinary 404, so probes don't
+        learn retired-route names that never existed.
         """
-        if self.legacy_routes != "gone":
-            return None
         bare = request.path.partition("?")[0]
         known = (
             bare in self.post_routes
@@ -591,11 +496,15 @@ class FBoxApp:
         )
 
     # ------------------------------------------------------------------
-    # The tracked section (metrics parity for both surfaces)
+    # The tracked section (metrics for every routed request)
     # ------------------------------------------------------------------
 
-    def _tracked(self, endpoint: str, run) -> Response:
-        """Run one request with metrics: in-flight, latency, status counts."""
+    async def _tracked(self, endpoint: str, run) -> Response:
+        """Run one request with metrics: in-flight, latency, status counts.
+
+        ``run()`` returns ``(status, document)`` directly (GET endpoints,
+        answered inline) or an awaitable of it (the POST pipeline).
+        """
         metrics = self.context.metrics
         metrics.request_started(endpoint)
         started = perf_counter()
@@ -603,7 +512,10 @@ class FBoxApp:
         content_type = "application/json"
         retry_after: float | None = None
         try:
-            status, document = run()
+            outcome = run()
+            if not isinstance(outcome, tuple):
+                outcome = await outcome
+            status, document = outcome
             body = (
                 document if isinstance(document, bytes) else _json_bytes(document)
             )
@@ -621,33 +533,6 @@ class FBoxApp:
         # Count the request before its bytes reach the socket: a client that
         # reads its response and immediately scrapes /metrics must find the
         # request already recorded.
-        metrics.request_finished(endpoint, status, perf_counter() - started)
-        return Response(status, body, content_type, retry_after=retry_after)
-
-    async def _tracked_async(self, endpoint: str, run) -> Response:
-        """The :meth:`_tracked` twin for the asyncio surface."""
-        metrics = self.context.metrics
-        metrics.request_started(endpoint)
-        started = perf_counter()
-        status = 500
-        content_type = "application/json"
-        retry_after: float | None = None
-        try:
-            status, document = await run()
-            body = (
-                document if isinstance(document, bytes) else _json_bytes(document)
-            )
-            if endpoint == "/metrics":
-                content_type = _METRICS_CONTENT_TYPE
-        except ServiceError as error:
-            status = error.status
-            retry_after = error.retry_after
-            if isinstance(error, RequestTimeout):
-                metrics.record_timeout()
-            body = _error_body(error)
-        except Exception as error:  # pragma: no cover - defensive
-            status = 500
-            body = _internal_error_body(error)
         metrics.request_finished(endpoint, status, perf_counter() - started)
         return Response(status, body, content_type, retry_after=retry_after)
 
@@ -862,47 +747,31 @@ class FBoxApp:
         }
 
     def run_post(self, request: Request) -> tuple[int, dict]:
-        """The sync pipeline body; raises :class:`ServiceError` on rejection."""
-        context = self.context
+        """The shard worker's pipeline body, for a blocking caller.
+
+        A worker answers routed frames on plain connection threads, so this
+        makes the same decisions as :meth:`_run_post_async` — fast path,
+        deadline-bounded execution on the pool, degraded answers — while
+        waiting for the pool task synchronously.  Admission and routing are
+        the front's job; the worker's context carries neither.
+        """
         path = request.path
         payload = self._parse_payload(request)
-        if path == "/admin/shards":
-            return 200, self._admin_shards(request, payload)
-        if path == "/datasets":
-            return 200, self._register_dataset(request, payload)
         fast = self._fast_path(path, payload)
         if fast is not None:
             return 200, fast
-        if context.router is not None:
-            # The worker enforces the deadline (and raises the timeout the
-            # router relays back); wrapping the roundtrip in another guard
-            # thread would count every slow request twice.
-            run = lambda: self._execute_shard(path, payload)  # noqa: E731
-        else:
-            execute = self._execute_fn(path, payload)
-            run = lambda: run_with_deadline(  # noqa: E731
-                execute, self.request_timeout, context.metrics
-            )
-
-        def admitted():
-            if context.admission is None:
-                return run()
-            with context.admission.admit():
-                return run()
-
         try:
-            return 200, admitted()
+            return 200, self._execute_sync(self._execute_fn(path, payload))
         except (RequestTimeout, CircuitOpen) as error:
-            # Graceful degradation: requests that opted in with
-            # ``allow_stale`` get the last-known-good answer, loudly
-            # marked, instead of the error.
-            degraded = resolve_degraded(context, path, payload, reason=error.kind)
-            if degraded is None:
-                raise
-            return 200, degraded
+            return 200, self._degraded(path, payload, error)
 
     async def _run_post_async(self, request: Request) -> tuple[int, dict]:
-        """The async pipeline body: same decisions, executor-bound work."""
+        """The POST pipeline body; raises :class:`ServiceError` on rejection.
+
+        Admin writes hop to the pool, cached answers return inline, and
+        everything else is admitted, then executed on the pool — under the
+        request deadline in-process, or as a routed call under sharding.
+        """
         context = self.context
         path = request.path
         payload = self._parse_payload(request)
@@ -925,7 +794,8 @@ class FBoxApp:
         if context.router is not None:
             # Routed calls block on a worker socket, not the CPU: run them
             # on the pool to keep the loop free, but with no wait_for —
-            # the worker owns the deadline (see run_post).
+            # the worker owns the deadline (see run_post); a second one
+            # here would count every slow request twice.
             routed = lambda: self._execute_shard(path, payload)  # noqa: E731
             execute_async = lambda: asyncio.wrap_future(  # noqa: E731
                 self._ensure_executor().submit(routed)
@@ -942,19 +812,23 @@ class FBoxApp:
             finally:
                 context.admission.release()
         except (RequestTimeout, CircuitOpen) as error:
-            degraded = resolve_degraded(context, path, payload, reason=error.kind)
-            if degraded is None:
-                raise
-            return 200, degraded
+            return 200, self._degraded(path, payload, error)
+
+    def _degraded(self, path: str, payload, error: ServiceError) -> dict:
+        """Graceful degradation: requests that opted in with ``allow_stale``
+        get the last-known-good answer, loudly marked, instead of ``error``
+        (which is re-raised for everyone else)."""
+        degraded = resolve_degraded(self.context, path, payload, reason=error.kind)
+        if degraded is None:
+            raise error
+        return degraded
 
     async def _execute_async(self, execute):
         """Run ``execute`` on the bounded pool under the request deadline.
 
-        On timeout the pool task is *abandoned*, exactly like the guard
-        thread: it keeps running (a late success still warms caches), the
-        abandoned counter is bumped, and a late failure is logged once via
-        a done-callback (which fires immediately if the failure already
-        happened — the same race the guard-thread lock protocol closes).
+        On timeout the pool task is *abandoned*: it keeps running (a late
+        success still warms caches), the abandoned counter is bumped, and a
+        late failure is logged once (see :meth:`_abandon`).
         """
         timeout = self.request_timeout
         future = self._ensure_executor().submit(execute)
@@ -964,22 +838,40 @@ class FBoxApp:
         try:
             return await asyncio.wait_for(asyncio.shield(wrapped), timeout)
         except (asyncio.TimeoutError, TimeoutError):
-            self._abandon(future, wrapped)
+            # Retrieve the asyncio mirror's eventual exception so the loop
+            # never warns about it; the authoritative log comes from _abandon.
+            wrapped.add_done_callback(
+                lambda f: f.exception() if not f.cancelled() else None
+            )
+            self._abandon(future)
             raise _deadline_error(timeout) from None
 
-    def _abandon(
-        self,
-        future: concurrent.futures.Future,
-        wrapped: asyncio.Future,
-    ) -> None:
+    def _execute_sync(self, execute):
+        """:meth:`_execute_async` for a blocking caller (the shard worker's
+        connection threads): same pool, same deadline, same abandonment."""
+        timeout = self.request_timeout
+        future = self._ensure_executor().submit(execute)
+        if not timeout or timeout <= 0:
+            return future.result()
+        try:
+            return future.result(timeout)
+        except concurrent.futures.TimeoutError:
+            if future.done():
+                # Finished in the instant the wait expired (or raised a
+                # TimeoutError of its own): that outcome is the answer.
+                return future.result()
+        self._abandon(future)
+        raise _deadline_error(timeout)
+
+    def _abandon(self, future: concurrent.futures.Future) -> None:
+        """Give up on a pool task past its deadline without cancelling it.
+
+        The done-callback fires at once if the task already failed, so a
+        failure racing the deadline is logged exactly once either way.
+        """
         metrics = self.context.metrics
         if metrics is not None:
             metrics.record_abandoned()
-        # Retrieve the asyncio mirror's eventual exception so the loop never
-        # warns about it; the authoritative log comes from the pool future.
-        wrapped.add_done_callback(
-            lambda f: f.exception() if not f.cancelled() else None
-        )
 
         def _report(done: concurrent.futures.Future) -> None:
             if done.cancelled():
@@ -1065,7 +957,6 @@ def make_app(
     alert_threshold: float | None = None,
     core: str = "dict",
     admin_token: str | None = None,
-    legacy_routes: str = "gone",
 ) -> FBoxApp:
     """Build a ready-to-serve application (no sockets involved).
 
@@ -1074,12 +965,11 @@ def make_app(
     ``FBOX_FAULTS`` environment variable configures (usually nothing); when
     an injector is attached it is also shared with the registry so
     ``dataset_load`` rules reach the loaders.  ``executor_workers`` sizes
-    the bounded execution pool used by the asyncio transport (default: the
-    admission concurrency cap).  ``shards > 0`` puts a
-    :class:`~repro.service.sharding.ShardRouter` in front of that many
-    worker processes — each owns the cubes for a deterministic subset of
-    datasets — while ``0`` keeps the in-process execution path; responses
-    are byte-identical either way.  ``alert_threshold`` arms fairness-trend
+    the bounded execution pool (default: the admission concurrency cap).
+    ``shards > 0`` puts a :class:`~repro.service.sharding.ShardRouter` in
+    front of that many worker processes — each owns the cubes for a
+    deterministic subset of datasets — while ``0`` keeps the in-process
+    execution path; responses are byte-identical either way.  ``alert_threshold`` arms fairness-trend
     alerting: any cell recomputed by an ingest whose value reaches the
     threshold increments ``fbox_fairness_alerts_total``.  ``core`` selects
     the F-Box storage engine: ``"dict"`` (reference) or ``"columnar"``
@@ -1088,10 +978,7 @@ def make_app(
     segment, and restarted workers re-attach instead of rebuilding).
     ``admin_token`` arms authentication for ``POST /v1/admin/shards`` (the
     live pool resize); unset, the admin surface is open — fine for local
-    development, not for anything shared.  ``legacy_routes`` decides what
-    unversioned paths get: ``"gone"`` (default) answers 410 with a
-    ``v1_path`` pointer, ``"serve"`` keeps the deprecated passthrough with
-    ``Deprecation``/``Sunset`` headers.
+    development, not for anything shared.
     """
     if core not in CORES:
         raise ValueError(f"core must be one of {CORES}, got {core!r}")
@@ -1153,5 +1040,4 @@ def make_app(
         request_timeout=request_timeout,
         executor_workers=executor_workers,
         admin_token=admin_token,
-        legacy_routes=legacy_routes,
     )

@@ -72,10 +72,10 @@ __all__ = [
 API_VERSION = "v1"
 API_PREFIX = "/v1"
 """The current API version mount point: every endpoint answers at
-``/v1/<endpoint>``.  The unversioned paths still work but are deprecated."""
+``/v1/<endpoint>``.  Known unversioned paths answer 410 ``gone``."""
 
 LEGACY_SUNSET = "Thu, 31 Dec 2026 23:59:59 GMT"
-"""The ``Sunset`` date legacy (unversioned) responses advertise."""
+"""The retirement date of the unversioned paths, as ``/v1/schema`` reports it."""
 
 _DIMENSIONS = ("group", "query", "location")
 _ORDERS = ("most", "least")
@@ -1136,10 +1136,9 @@ def service_schema() -> dict:
         "legacy": {
             "deprecated": True,
             "sunset": LEGACY_SUNSET,
-            "note": "unversioned paths are retired: the default "
-            "--legacy-routes gone answers 410 with a v1_path pointer; "
-            "--legacy-routes serve restores the deprecated passthrough "
-            "(Deprecation: true and Sunset headers) for stragglers",
+            "note": "unversioned paths are retired: a known one answers "
+            "410 gone with a v1_path pointer to its /v1 mount; an unknown "
+            "one answers 404",
         },
         "endpoints": [
             endpoint(

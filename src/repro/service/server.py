@@ -1,18 +1,14 @@
-"""Service wiring: build an app, pick a transport, run it until SIGTERM.
+"""Service wiring: build an app, front it with the transport, run until SIGTERM.
 
-The heavy lifting moved out of this module: request policy lives in
-:mod:`repro.service.app` (the transport-agnostic application layer) and the
-HTTP fronts live in :mod:`repro.service.transports` — ``threaded`` (the
-original thread-per-connection server) and ``aio`` (the asyncio front).
-What remains here is the composition root: :func:`make_server` builds an
-:class:`~repro.service.app.FBoxApp` and wraps it in the requested backend;
-:func:`serve` is the blocking entry point behind ``repro serve`` that
-installs SIGTERM/SIGINT handlers which *drain* — new arrivals get 503 +
-``Connection: close`` while admitted and queued requests finish — before
-the listener stops.
-
-``FBoxServer``, ``make_app``, and ``run_with_deadline`` are re-exported
-for compatibility with existing imports.
+Request policy lives in :mod:`repro.service.app` (the transport-agnostic
+application layer) and the HTTP front lives in
+:mod:`repro.service.transports.aio` (one asyncio event loop, CPU work on
+the app's bounded pool).  What remains here is the composition root:
+:func:`make_server` builds an :class:`~repro.service.app.FBoxApp` and
+wraps it in that front; :func:`serve` is the blocking entry point behind
+``repro serve`` that installs SIGTERM/SIGINT handlers which *drain* — new
+arrivals get 503 + ``Connection: close`` while admitted and queued
+requests finish — before the listener stops.
 """
 
 from __future__ import annotations
@@ -21,26 +17,19 @@ import logging
 import signal
 import threading
 
-from .app import FBoxApp, make_app, run_with_deadline
+from .app import make_app
 from .faults import FaultInjector
 from .registry import DatasetRegistry
 from .transports.aio import AioFBoxServer
-from .transports.threaded import FBoxServer
 
 __all__ = [
     "AioFBoxServer",
-    "BACKENDS",
-    "FBoxServer",
     "make_app",
     "make_server",
-    "run_with_deadline",
     "serve",
 ]
 
 _logger = logging.getLogger("repro.service")
-
-BACKENDS = ("threads", "asyncio")
-"""Transport choices for ``make_server``/``serve``/``repro serve --backend``."""
 
 
 def make_server(
@@ -54,30 +43,23 @@ def make_server(
     queue_depth: int = 16,
     faults: FaultInjector | None = None,
     quiet: bool = True,
-    backend: str = "threads",
     executor_workers: int | None = None,
     shards: int = 0,
     alert_threshold: float | None = None,
     core: str = "dict",
     admin_token: str | None = None,
-    legacy_routes: str = "gone",
-) -> FBoxServer | AioFBoxServer:
+) -> AioFBoxServer:
     """Build a ready-to-serve F-Box server (``port=0`` picks an ephemeral one).
 
-    ``backend`` selects the transport: ``"threads"`` (one OS thread per
-    connection, the legacy model) or ``"asyncio"`` (one event loop, CPU
-    work on the app's bounded executor sized by ``executor_workers``).
-    Both fronts share the same application, so every endpoint, error path,
-    and resilience behavior is identical.  ``shards`` selects the execution
-    backend behind either front: ``0`` executes in-process (today's model),
-    ``N > 0`` spreads dataset ownership across ``N`` worker processes for
-    real CPU parallelism.  ``core`` selects the F-Box storage engine —
-    ``"dict"`` (reference) or ``"columnar"`` (flat numpy blocks in
-    shared-memory segments).  See :func:`repro.service.app.make_app` for
-    the remaining knobs.
+    One event loop accepts every connection; CPU work runs on the app's
+    bounded pool sized by ``executor_workers``.  ``shards`` selects the
+    execution backend behind the front: ``0`` executes in-process, ``N > 0``
+    spreads dataset ownership across ``N`` worker processes for real CPU
+    parallelism.  ``core`` selects the F-Box storage engine — ``"dict"``
+    (reference) or ``"columnar"`` (flat numpy blocks in shared-memory
+    segments).  See :func:`repro.service.app.make_app` for the remaining
+    knobs.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     app = make_app(
         registry=registry,
         cache_size=cache_size,
@@ -91,11 +73,8 @@ def make_server(
         alert_threshold=alert_threshold,
         core=core,
         admin_token=admin_token,
-        legacy_routes=legacy_routes,
     )
-    if backend == "asyncio":
-        return AioFBoxServer((host, port), app, quiet=quiet)
-    return FBoxServer((host, port), app, quiet=quiet)
+    return AioFBoxServer((host, port), app, quiet=quiet)
 
 
 def serve(
@@ -109,14 +88,13 @@ def serve(
     queue_depth: int = 16,
     preload: bool = False,
     quiet: bool = False,
-    backend: str = "threads",
+    backend: str = "asyncio",
     executor_workers: int | None = None,
     drain_grace: float = 10.0,
     shards: int = 0,
     alert_threshold: float | None = None,
     core: str = "dict",
     admin_token: str | None = None,
-    legacy_routes: str = "gone",
 ) -> int:
     """Run the service until SIGTERM/SIGINT; returns a process exit code.
 
@@ -129,6 +107,11 @@ def serve(
     background thread; ``/readyz`` answers 503 until every preloaded
     dataset is built (``/healthz`` is 200 throughout).
     """
+    # ``backend`` survives only because existing launch scripts (the
+    # serving benchmark among them) pass ``backend="asyncio"`` explicitly;
+    # asyncio is the one transport, so any other value is an error.
+    if backend != "asyncio":
+        raise ValueError(f"backend must be 'asyncio', got {backend!r}")
     server = make_server(
         registry=registry,
         host=host,
@@ -139,13 +122,11 @@ def serve(
         max_concurrency=max_concurrency,
         queue_depth=queue_depth,
         quiet=quiet,
-        backend=backend,
         executor_workers=executor_workers,
         shards=shards,
         alert_threshold=alert_threshold,
         core=core,
         admin_token=admin_token,
-        legacy_routes=legacy_routes,
     )
     if preload:
         context = server.context
@@ -170,7 +151,7 @@ def serve(
         sig: signal.signal(sig, _shutdown) for sig in (signal.SIGTERM, signal.SIGINT)
     }
     datasets = ", ".join(server.context.registry.names()) or "none"
-    mode = f"backend: {backend}" + (f", shards: {shards}" if shards else "")
+    mode = f"shards: {shards}" if shards else "in-process"
     print(
         f"F-Box service listening on {server.url} "
         f"({mode}, datasets: {datasets})",

@@ -10,12 +10,14 @@ state handoff: the router snapshots a moving dataset's journal, ledger,
 high-water sequence, and trend ring from its old owner and replays them
 into the new one before flipping routing.
 
-``call`` runs the untouched single-process POST pipeline —
+``call`` runs the single-process POST pipeline —
 :meth:`repro.service.app.FBoxApp.run_post` against a worker-local
 :class:`~repro.service.handlers.ServiceContext` — so parsing, validation,
 caching, breaker accounting, deadline enforcement, and degraded stale
-answers behave byte-for-byte like the unsharded service.  Admission control
-stays front-side (the router is one logical service; shedding twice would
+answers behave byte-for-byte like the unsharded service.  The handler runs
+on the worker app's bounded pool under the request deadline, exactly as
+on the front; a call past it is abandoned.  Admission control stays
+front-side (the router is one logical service; shedding twice would
 double-count), which is why the worker's context has no controller.
 
 Chaos hooks: a ``worker_exit`` fault rule firing for the request path makes

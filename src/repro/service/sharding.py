@@ -46,6 +46,7 @@ envelope is byte-identical to the single-process answer.
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import logging
@@ -354,6 +355,11 @@ class ShardRouter:
             "resizes": 0,
             "last": None,
         }
+        # Cross-shard /batch fan-out: sub-batches only wait on worker
+        # sockets, so one bounded pool serves every batch.
+        self._fanout = concurrent.futures.ThreadPoolExecutor(
+            max_workers=8, thread_name_prefix="fbox-fanout"
+        )
         self._shards = [_Shard(index) for index in range(shards)]
         for shard in self._shards:
             self._spawn(shard)
@@ -843,6 +849,7 @@ class ShardRouter:
         self._closed = True
         if self._monitor.is_alive():
             self._monitor.join(timeout=1.0)
+        self._fanout.shutdown(wait=False)
         for shard in self._shards:
             try:
                 self._roundtrip(shard, {"op": "shutdown"}, 0.5)
@@ -993,7 +1000,7 @@ class ShardRouter:
     def _execute_batch(self, payload, timeout: float | None) -> dict:
         """Partition a batch by owning shard and merge the sub-envelopes.
 
-        Sub-batches run concurrently (one thread per involved shard) through
+        Sub-batches run concurrently (on the router's fan-out pool) through
         each worker's normal batch planner, so shared-sweep grouping happens
         next to the cubes.  Item alignment is preserved; per-shard failures
         degrade to per-item errors (matching the planner's own isolation),
@@ -1037,14 +1044,12 @@ class ShardRouter:
             ((shard_index, positions),) = groups.items()
             run_group(shard_index, positions)
         else:
-            threads = [
-                threading.Thread(target=run_group, args=(index, positions))
+            pending = [
+                self._fanout.submit(run_group, index, positions)
                 for index, positions in groups.items()
             ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            for future in pending:
+                future.result()
 
         results: list[dict | None] = [None] * len(items)
         sweep_groups = 0

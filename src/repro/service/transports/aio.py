@@ -9,11 +9,10 @@ which admits via the controller's async path and executes on the app's
 bounded thread pool under an ``asyncio.wait_for`` deadline.  Thread count
 is thus a capacity knob (``--executor-workers``), not one-per-connection.
 
-:class:`AioFBoxServer` deliberately mirrors the ``ThreadingHTTPServer``
-surface the rest of the repo already drives — eager socket bind in the
-constructor (``port=0`` works), blocking ``serve_forever()``, thread-safe
-``shutdown()``/``server_close()``, plus ``drain()`` — so tests and
-benchmarks run unchanged against either backend.
+:class:`AioFBoxServer` keeps the familiar ``socketserver`` surface — eager
+socket bind in the constructor (``port=0`` works), blocking
+``serve_forever()``, thread-safe ``shutdown()``/``server_close()`` — plus
+``drain()`` for graceful stops.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ from ..app import FBoxApp, Request, Response, format_retry_after
 __all__ = ["AioFBoxServer"]
 
 _MAX_HEADER_COUNT = 128
-_HEADER_LINE_LIMIT = 1 << 16
+_LINE_LIMIT = 1 << 16
+"""The stream limit ``asyncio.start_server`` applies to one line."""
 
 
 class _ProtocolError(Exception):
@@ -39,7 +39,11 @@ class _ProtocolError(Exception):
 
 
 class AioFBoxServer:
-    """Asyncio front-end with the same server API as the threaded one."""
+    """The asyncio front-end: one event loop, the app's pool for CPU work.
+
+    A request or header line longer than the stream limit (64 KiB) is a
+    protocol error: 400 ``bad_request`` and the connection is closed.
+    """
 
     def __init__(
         self,
@@ -49,14 +53,14 @@ class AioFBoxServer:
     ) -> None:
         self.app = app
         self.quiet = quiet
-        # Bind eagerly, exactly like ThreadingHTTPServer's constructor, so
-        # callers can read the ephemeral port before serve_forever() runs.
+        # Bind eagerly so callers can read the ephemeral port before
+        # serve_forever() runs.
         self._socket = socket.create_server(address, backlog=128)
         self.server_address = self._socket.getsockname()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._shutdown_requested = threading.Event()
-        # Mirrors ThreadingHTTPServer.__is_shut_down: set while not serving.
+        # Set while not serving; shutdown() waits on it.
         self._done = threading.Event()
         self._done.set()
 
@@ -79,7 +83,7 @@ class AioFBoxServer:
         return f"http://{host}:{port}"
 
     # ------------------------------------------------------------------
-    # Lifecycle (ThreadingHTTPServer-shaped)
+    # Lifecycle
     # ------------------------------------------------------------------
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
@@ -95,7 +99,7 @@ class AioFBoxServer:
         self._stop = asyncio.Event()
         self._loop = asyncio.get_running_loop()
         server = await asyncio.start_server(
-            self._serve_connection, sock=self._socket
+            self._serve_connection, sock=self._socket, limit=_LINE_LIMIT
         )
         if self._shutdown_requested.is_set():
             self._stop.set()
@@ -183,7 +187,7 @@ class AioFBoxServer:
         self, reader: asyncio.StreamReader
     ) -> tuple[Request, bool] | None:
         """Parse one request off the connection; ``None`` on a clean EOF."""
-        line = await reader.readline()
+        line = await _read_line(reader, "request line")
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()
@@ -225,11 +229,9 @@ class AioFBoxServer:
     async def _read_headers(self, reader: asyncio.StreamReader) -> dict[str, str]:
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEADER_COUNT):
-            raw = await reader.readline()
+            raw = await _read_line(reader, "header line")
             if raw in (b"\r\n", b"\n", b""):
                 return headers
-            if len(raw) > _HEADER_LINE_LIMIT:
-                raise _ProtocolError("header line too long")
             name, sep, value = raw.decode("latin-1").partition(":")
             if not sep:
                 raise _ProtocolError("malformed header line")
@@ -250,8 +252,6 @@ class AioFBoxServer:
         ]
         if response.retry_after is not None:
             lines.append(f"Retry-After: {format_retry_after(response.retry_after)}")
-        for name, value in response.headers.items():
-            lines.append(f"{name}: {value}")
         if close:
             # Tell the client explicitly; HTTP/1.1 defaults to keep-alive.
             lines.append("Connection: close")
@@ -259,6 +259,19 @@ class AioFBoxServer:
         # never straddles Nagle's unacked-data boundary.
         writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + response.body)
         await writer.drain()
+
+
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One CRLF-terminated line; an overlong one is a protocol error.
+
+    ``readline`` signals a line past the stream limit with ``ValueError``
+    (after discarding it), which would otherwise escape the connection
+    task and drop the client without an answer.
+    """
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _ProtocolError(f"{what} exceeds {_LINE_LIMIT} bytes") from None
 
 
 def _protocol_error_response(message: str) -> Response:

@@ -75,7 +75,7 @@ def small_search_dataset():
     return run_study(engine, design).dataset
 
 
-from tests.helpers import make_cube
+from tests.helpers import make_cube, use_backend
 
 
 @pytest.fixture
@@ -84,14 +84,21 @@ def cube():
 
 
 # ----------------------------------------------------------------------
-# Service backends
+# Service fixtures
 # ----------------------------------------------------------------------
 
 
 @pytest.fixture(params=["threads", "asyncio"])
 def backend(request):
-    """Every service test runs once per transport: both fronts share one
-    application layer, so the whole HTTP surface must be byte-compatible."""
+    """Where the one HTTP transport answers a repeated POST.
+
+    ``asyncio`` is the server as deployed: a cached answer is returned
+    inline on the event loop.  ``threads`` switches that shortcut off, so
+    every POST, repeats included, is admitted and computed on the app's
+    worker-thread pool under the pool deadline (the path a fault-injected
+    server always takes).  Answers must be byte-identical either way.
+    Server fixtures apply it with :func:`tests.helpers.use_backend`.
+    """
     return request.param
 
 
@@ -118,7 +125,9 @@ def start_service(backend, shards):
 
     def _start(registry=None, **kwargs):
         kwargs.setdefault("shards", shards)
-        server = make_server(registry=registry, port=0, backend=backend, **kwargs)
+        server = use_backend(
+            make_server(registry=registry, port=0, **kwargs), backend
+        )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         running.append((server, thread))

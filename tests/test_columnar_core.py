@@ -11,7 +11,7 @@ contract at three layers:
 * F-Box level — real crawl datasets, including incremental deltas, plus
   segment publish / attach / restart lifecycle and leak checks;
 * service level — a dict server and a columnar server answer the same
-  request list identically (every backend × sharding parameterization),
+  request list identically (in-process and sharded),
   and a respawned shard worker *attaches* to the published segment
   instead of rebuilding.
 """

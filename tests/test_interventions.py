@@ -7,7 +7,7 @@ Three layers under test:
   improvement, determinism;
 * the intervention registry and `FBox.whatif`;
 * the service endpoint, including byte-identity across every core ×
-  transport × execution-backend combination and the robustness of an
+  execution-backend combination and the robustness of an
   intervention's benefit under position-biased click feedback.
 """
 

@@ -3,7 +3,7 @@
 Covers the acceptance contract end to end: preset determinism (one frozen
 config → byte-identical datasets no matter which surface builds it),
 override plumbing and validation, lazy materialization through the service
-(both transports × both execution backends), the admin-gated runtime
+(both execution backends), the admin-gated runtime
 ``POST /v1/datasets`` registration, paginated listings, and the seeded
 loadgen planner/report schema.
 """

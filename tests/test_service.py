@@ -6,14 +6,15 @@ urllib — all six endpoints, the error paths, cache-hit behavior verified via
 ``/metrics``, the per-request timeout guard, and a concurrency test proving
 that 16 parallel first-touch requests build the cube exactly once.
 
-Every server-backed test is parameterized over ``backend in {threads,
-asyncio}`` (the ``backend``/``start_service`` conftest fixtures): the two
-transports share one application layer and must be byte-compatible on every
-endpoint and error path.
+Every server-backed test runs against both execution backends and both
+ways of answering a cached repeat, on the event loop or on the worker pool
+(the ``shards``/``backend``/``start_service`` conftest fixtures); all four
+must be byte-compatible on every endpoint and error path.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import logging
 import socket
@@ -27,13 +28,13 @@ import pytest
 
 from repro.core.attributes import default_schema
 from repro.core.fbox import FBox
+from repro.service.app import make_app
 from repro.service.cache import LRUCache
 from repro.service.encoding import canonical_key
 from repro.service.errors import RequestTimeout
-from repro.service.handlers import ServiceContext, handle_quantify
+from repro.service.handlers import API_PREFIX, ServiceContext, handle_quantify
 from repro.service.observability import ServiceMetrics
 from repro.service.registry import DatasetRegistry, DatasetSpec
-from repro.service.server import run_with_deadline
 
 
 # ----------------------------------------------------------------------
@@ -42,11 +43,20 @@ from repro.service.server import run_with_deadline
 
 
 class ServiceHarness:
-    """One live server plus tiny HTTP helpers."""
+    """One live server plus tiny HTTP helpers.
+
+    Paths are endpoint paths under the ``/v1`` mount: ``post("/quantify")``
+    requests ``/v1/quantify`` (a path already under ``/v1`` is used as is).
+    """
 
     def __init__(self, server):
         self.server = server
         self.base = server.url
+
+    def url(self, path: str) -> str:
+        if path != API_PREFIX and not path.startswith(API_PREFIX + "/"):
+            path = API_PREFIX + path
+        return self.base + path
 
     @property
     def registry(self):
@@ -58,7 +68,7 @@ class ServiceHarness:
 
     def get(self, path: str):
         try:
-            with urllib.request.urlopen(self.base + path) as response:
+            with urllib.request.urlopen(self.url(path)) as response:
                 return response.status, response.read().decode("utf-8")
         except urllib.error.HTTPError as error:
             return error.code, error.read().decode("utf-8")
@@ -70,7 +80,7 @@ class ServiceHarness:
     def post(self, path: str, payload, raw: bytes | None = None):
         data = raw if raw is not None else json.dumps(payload).encode("utf-8")
         request = urllib.request.Request(
-            self.base + path, data=data, headers={"Content-Type": "application/json"}
+            self.url(path), data=data, headers={"Content-Type": "application/json"}
         )
         try:
             with urllib.request.urlopen(request) as response:
@@ -102,15 +112,8 @@ def _registry(small_marketplace_dataset, small_search_dataset) -> DatasetRegistr
 
 @pytest.fixture
 def service(start_service, small_marketplace_dataset, small_search_dataset):
-    # This suite predates /v1 and doubles as the straggler-passthrough
-    # oracle, so it pins ``legacy_routes="serve"``; retirement (the default
-    # ``gone`` mode) is covered by test_service_api_v1.TestLegacyRetired.
     registry = _registry(small_marketplace_dataset, small_search_dataset)
-    return ServiceHarness(
-        start_service(
-            registry=registry, request_timeout=60.0, legacy_routes="serve"
-        )
-    )
+    return ServiceHarness(start_service(registry=registry, request_timeout=60.0))
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +236,17 @@ class TestCaching:
         )
         assert first["cached"] is False
         assert second["cached"] is True
+
+    def test_backend_decides_whether_a_repeat_is_admitted(self, backend, service):
+        # ``asyncio`` answers the cached repeat on the event loop, ahead of
+        # admission; ``threads`` admits it and computes it on the pool.
+        request = {"dataset": "taskrabbit", "dimension": "group", "k": 2}
+        service.post("/quantify", request)
+        _, repeat = service.post("/quantify", request)
+        assert repeat["cached"] is True
+        _, metrics = service.get("/metrics")
+        admitted = 2 if backend == "threads" else 1
+        assert f'fbox_admission_total{{outcome="accepted"}} {admitted}' in metrics
 
     def test_canonical_key_is_order_insensitive(self):
         assert canonical_key("q", {"a": 1, "b": "x"}) == canonical_key(
@@ -394,9 +408,7 @@ class TestConcurrency:
     ):
         registry = _registry(small_marketplace_dataset, small_search_dataset)
         harness = ServiceHarness(
-            start_service(
-                registry=registry, request_timeout=120.0, legacy_routes="serve"
-            )
+            start_service(registry=registry, request_timeout=120.0)
         )
         request = {"dataset": "taskrabbit", "dimension": "group", "k": 5}
         with ThreadPoolExecutor(max_workers=16) as pool:
@@ -433,9 +445,7 @@ class TestConcurrency:
     ):
         registry = _registry(small_marketplace_dataset, small_search_dataset)
         harness = ServiceHarness(
-            start_service(
-                registry=registry, request_timeout=1e-4, legacy_routes="serve"
-            )
+            start_service(registry=registry, request_timeout=1e-4)
         )
         status, body = harness.post(
             "/quantify", {"dataset": "taskrabbit", "dimension": "group"}
@@ -471,7 +481,7 @@ class TestKeepAliveFraming:
         monkeypatch.setattr(service.server.app, "max_body_bytes", 64)
         oversized = b"x" * 200
         first = (
-            b"POST /quantify HTTP/1.1\r\n"
+            b"POST /v1/quantify HTTP/1.1\r\n"
             b"Host: t\r\n"
             b"Content-Type: application/json\r\n"
             b"Content-Length: " + str(len(oversized)).encode() + b"\r\n"
@@ -481,7 +491,7 @@ class TestKeepAliveFraming:
             {"dataset": "taskrabbit", "dimension": "group", "k": 2}
         ).encode()
         second = (
-            b"POST /quantify HTTP/1.1\r\n"
+            b"POST /v1/quantify HTTP/1.1\r\n"
             b"Host: t\r\n"
             b"Content-Type: application/json\r\n"
             b"Content-Length: " + str(len(payload)).encode() + b"\r\n"
@@ -503,7 +513,7 @@ class TestKeepAliveFraming:
     def test_invalid_content_length_closes_the_connection(self, service):
         """With an unparseable length we cannot resync, so we must close."""
         request = (
-            b"POST /quantify HTTP/1.1\r\n"
+            b"POST /v1/quantify HTTP/1.1\r\n"
             b"Host: t\r\n"
             b"Content-Type: application/json\r\n"
             b"Content-Length: banana\r\n"
@@ -525,7 +535,7 @@ class TestKeepAliveFraming:
         monkeypatch.setattr(service.server.app, "max_body_bytes", 64)
         monkeypatch.setattr(service.server.app, "max_drain_bytes", 128)
         request = (
-            b"POST /quantify HTTP/1.1\r\n"
+            b"POST /v1/quantify HTTP/1.1\r\n"
             b"Host: t\r\n"
             b"Content-Length: 4096\r\n"
             b"\r\n"
@@ -540,54 +550,119 @@ class TestKeepAliveFraming:
             assert reader.readline() == b""
 
 
+    def test_oversized_request_and_header_lines_get_the_envelope(self, caplog):
+        """A line past the 64 KiB stream limit is a framing error like any
+        other: a JSON 400 plus ``Connection: close``, nothing logged at
+        ERROR, and the server keeps serving new connections."""
+        from repro.service.server import make_server
+
+        server = make_server(registry=DatasetRegistry(), port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        big = "x" * 70_000
+        requests = [
+            f"GET /v1/healthz?pad={big} HTTP/1.1\r\nHost: t\r\n\r\n",
+            f"GET /v1/healthz HTTP/1.1\r\nHost: t\r\nX-Big: {big}\r\n\r\n",
+        ]
+        try:
+            with caplog.at_level(logging.ERROR):
+                for raw in requests:
+                    with socket.create_connection(
+                        server.server_address[:2], timeout=30
+                    ) as sock:
+                        sock.sendall(raw.encode("latin-1"))
+                        reader = sock.makefile("rb")
+                        status, headers, body = _read_http_response(reader)
+                        assert status == 400
+                        assert headers.get("connection") == "close"
+                        error = json.loads(body)["error"]
+                        assert error["code"] == "bad_request"
+                        assert "exceeds" in error["message"]
+                        assert reader.readline() == b""
+                harness = ServiceHarness(server)
+                assert harness.get_json("/healthz")[0] == 200
+            assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+            server.server_close()
+
+
 # ----------------------------------------------------------------------
 # Deadline abandonment accounting
 # ----------------------------------------------------------------------
 
 
 class TestAbandonedWorkers:
-    def test_value_and_error_paths_unchanged(self):
-        assert run_with_deadline(lambda: 42, 1.0) == 42
-        with pytest.raises(ValueError, match="boom"):
-            run_with_deadline(lambda: (_ for _ in ()).throw(ValueError("boom")), 1.0)
+    """The one deadline model: a pool task waited on for at most
+    ``request_timeout`` — by the event loop (``_execute_async``) or by a
+    shard worker's blocking connection thread (``_execute_sync``)."""
 
-    def test_abandoned_worker_failure_is_counted_and_logged(self, caplog):
-        metrics = ServiceMetrics()
-        release = threading.Event()
-
-        def slow_failure():
-            release.wait(2.0)
-            raise ValueError("late boom")
-
-        with caplog.at_level(logging.ERROR, logger="repro.service"):
-            with pytest.raises(RequestTimeout):
-                run_with_deadline(slow_failure, 0.01, metrics)
-            assert metrics.abandoned_requests == 1
-            release.set()
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if any(
-                    "abandoned request worker failed" in record.message
-                    for record in caplog.records
-                ):
-                    break
-                time.sleep(0.01)
-            else:
-                pytest.fail("abandoned worker's exception was never logged")
-        record = next(
-            record for record in caplog.records
-            if "abandoned request worker failed" in record.message
+    @pytest.fixture
+    def app(self):
+        app = make_app(
+            registry=DatasetRegistry(), max_concurrency=0, request_timeout=1.0
         )
-        assert "late boom" in str(record.exc_info[1])
+        yield app
+        app.close()
+
+    @staticmethod
+    def _waiters(app):
+        return {
+            "sync": app._execute_sync,
+            "async": lambda fn: asyncio.run(app._execute_async(fn)),
+        }
+
+    def test_value_and_error_paths_unchanged(self, app):
+        def boom():
+            raise ValueError("boom")
+
+        for name, wait in self._waiters(app).items():
+            assert wait(lambda: 42) == 42, name
+            with pytest.raises(ValueError, match="boom"):
+                wait(boom)
+        assert app.context.metrics.abandoned_requests == 0
+
+    def test_abandoned_worker_failure_is_counted_and_logged(self, app, caplog):
+        app.request_timeout = 0.01
+        for name, wait in self._waiters(app).items():
+            app.context.metrics = ServiceMetrics()
+            caplog.clear()
+            release = threading.Event()
+
+            def slow_failure():
+                release.wait(2.0)
+                raise ValueError(f"late boom ({name})")
+
+            with caplog.at_level(logging.ERROR, logger="repro.service"):
+                with pytest.raises(RequestTimeout):
+                    wait(slow_failure)
+                assert app.context.metrics.abandoned_requests == 1, name
+                release.set()
+                deadline = time.monotonic() + 5.0
+                while time.monotonic() < deadline:
+                    if any(
+                        "abandoned request worker failed" in record.message
+                        for record in caplog.records
+                    ):
+                        break
+                    time.sleep(0.01)
+                else:
+                    pytest.fail(f"{name}: abandoned worker's exception never logged")
+                time.sleep(0.05)  # a second report would land by now
+            records = [
+                record for record in caplog.records
+                if "abandoned request worker failed" in record.message
+            ]
+            assert len(records) == 1, name
+            assert f"late boom ({name})" in str(records[0].exc_info[1])
 
     def test_abandoned_counter_reaches_the_exposition(
         self, start_service, small_marketplace_dataset, small_search_dataset
     ):
         registry = _registry(small_marketplace_dataset, small_search_dataset)
         harness = ServiceHarness(
-            start_service(
-                registry=registry, request_timeout=1e-4, legacy_routes="serve"
-            )
+            start_service(registry=registry, request_timeout=1e-4)
         )
         status, _ = harness.post(
             "/quantify", {"dataset": "taskrabbit", "dimension": "group"}

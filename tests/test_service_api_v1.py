@@ -1,12 +1,9 @@
-"""The versioned /v1 API surface: byte-compatibility, deprecation headers,
-the unified error envelope, and the machine-readable /v1/schema document.
+"""The versioned /v1 API surface: the retired unversioned mount, the
+unified error envelope, and the machine-readable /v1/schema document.
 
-Every test runs over both transports *and* both execution backends (the
-``backend``/``shards`` conftest parameters).  Legacy unversioned paths are
-retired by default — known routes answer ``410 gone`` with a ``v1_path``
-pointer — and the straggler passthrough (``legacy_routes="serve"``) must
-stay byte-identical to ``/v1/...`` with the RFC 8594
-``Deprecation``/``Sunset`` headers attached.
+Every server test runs over both execution backends (the ``shards``
+conftest parameter).  Legacy unversioned paths are retired — known routes
+answer ``410 gone`` with a ``v1_path`` pointer, unknown ones 404.
 """
 
 from __future__ import annotations
@@ -63,17 +60,8 @@ def _exchange(base: str, method: str, path: str, payload=None):
 @pytest.fixture
 def service(start_service, small_marketplace_dataset, small_search_dataset):
     registry = _registry(small_marketplace_dataset, small_search_dataset)
-    # cache_size=0 keeps repeated POSTs byte-identical (no "cached" flip),
-    # which is what lets the /v1-vs-legacy comparison demand equality.
-    # legacy_routes="serve" opts into the straggler passthrough these
-    # compatibility tests exist to pin down; the retirement default is
-    # covered by TestLegacyRetired.
-    return start_service(
-        registry=registry,
-        request_timeout=60.0,
-        cache_size=0,
-        legacy_routes="serve",
-    )
+    # cache_size=0 keeps repeated POSTs byte-identical (no "cached" flip).
+    return start_service(registry=registry, request_timeout=60.0, cache_size=0)
 
 
 QUANTIFY = {"dataset": "taskrabbit", "dimension": "group", "k": 3}
@@ -83,6 +71,7 @@ PROBES = [
     ("GET", "/readyz", None),
     ("GET", "/datasets", None),
     ("GET", "/schema", None),
+    ("GET", "/metrics", None),
     ("POST", "/quantify", QUANTIFY),
     ("POST", "/nope", {"x": 1}),  # 404s must be versioned consistently too
     ("POST", "/quantify", {"dataset": "missing", "dimension": "group"}),
@@ -90,84 +79,61 @@ PROBES = [
 
 
 class TestVersionedPaths:
-    def test_v1_and_legacy_answers_are_byte_identical(self, service):
-        for method, path, payload in PROBES:
-            legacy = _exchange(service.url, method, path, payload)
-            versioned = _exchange(service.url, method, API_PREFIX + path, payload)
-            assert versioned[0] == legacy[0], path
-            assert versioned[1] == legacy[1], path
-
-    def test_legacy_paths_carry_deprecation_and_sunset(self, service):
-        for method, path, payload in PROBES:
-            _, _, headers = _exchange(service.url, method, path, payload)
-            assert headers.get("Deprecation") == "true", path
-            assert headers.get("Sunset") == LEGACY_SUNSET, path
-
     def test_v1_paths_are_not_deprecated(self, service):
         for method, path, payload in PROBES:
             _, _, headers = _exchange(service.url, method, API_PREFIX + path, payload)
             assert "Deprecation" not in headers, path
             assert "Sunset" not in headers, path
 
-    def test_metrics_served_under_both_mounts(self, service):
-        legacy_status, legacy_body, headers = _exchange(
-            service.url, "GET", "/metrics"
-        )
-        v1_status, v1_body, v1_headers = _exchange(
-            service.url, "GET", API_PREFIX + "/metrics"
-        )
-        assert legacy_status == v1_status == 200
-        assert headers.get("Deprecation") == "true"
-        assert "Deprecation" not in v1_headers
-        # Bodies are scraped at different instants (request counters moved),
-        # but both must be the Prometheus exposition of the same families.
-        assert b"fbox_requests_total" in legacy_body
-        assert b"fbox_requests_total" in v1_body
+    def test_metrics_served_only_under_v1(self, service):
+        status, body, headers = _exchange(service.url, "GET", API_PREFIX + "/metrics")
+        assert status == 200
+        assert headers["Content-Type"].startswith("text/plain")
+        assert b"fbox_requests_total" in body
+        status, body, _ = _exchange(service.url, "GET", "/metrics")
+        assert status == 410
+        assert json.loads(body)["error"]["v1_path"] == API_PREFIX + "/metrics"
 
 
 class TestLegacyRetired:
-    """The default build (no ``legacy_routes`` override) retires the
-    unversioned mount: known routes answer 410 with a pointer."""
+    """The unversioned mount is retired: known routes answer 410 with a
+    pointer to their ``/v1`` path, unknown ones stay 404."""
 
-    @pytest.fixture
-    def gone_service(
-        self, start_service, small_marketplace_dataset, small_search_dataset
-    ):
-        registry = _registry(small_marketplace_dataset, small_search_dataset)
-        return start_service(registry=registry, request_timeout=60.0)
-
-    def test_known_legacy_paths_answer_410_with_pointer(self, gone_service):
+    def test_known_legacy_paths_answer_410_with_pointer(self, service):
         for method, path, payload in PROBES:
             if path == "/nope":
                 continue  # unknown everywhere; stays 404 below
-            status, body, _ = _exchange(gone_service.url, method, path, payload)
+            status, body, headers = _exchange(service.url, method, path, payload)
             assert status == 410, path
             error = json.loads(body)["error"]
             assert error["code"] == "gone"
             assert error["retryable"] is False
             assert error["v1_path"] == API_PREFIX + path
+            assert "Deprecation" not in headers, path
+            assert "Sunset" not in headers, path
 
-    def test_unknown_legacy_paths_stay_404(self, gone_service):
-        status, body, _ = _exchange(gone_service.url, "POST", "/nope", {"x": 1})
+    def test_unknown_legacy_paths_stay_404(self, service):
+        status, body, _ = _exchange(service.url, "POST", "/nope", {"x": 1})
         assert status == 404
         assert json.loads(body)["error"]["code"] == "not_found"
 
-    def test_versioned_paths_are_unaffected(self, gone_service):
+    def test_versioned_paths_are_unaffected(self, service):
         status, body, _ = _exchange(
-            gone_service.url, "POST", API_PREFIX + "/quantify", QUANTIFY
+            service.url, "POST", API_PREFIX + "/quantify", QUANTIFY
         )
         assert status == 200
         assert json.loads(body)["kind"] == "quantification"
 
-    def test_client_surfaces_410_as_non_retryable(self, gone_service):
+    def test_client_surfaces_410_as_non_retryable(self, service):
         from repro.client import ClientError
 
         with FBoxClient(
-            gone_service.url, retry=RetryPolicy(max_attempts=3, seed=0)
+            service.url, retry=RetryPolicy(max_attempts=3, seed=0)
         ) as client:
             with pytest.raises(ClientError) as excinfo:
                 client.request("GET", "/healthz")
         assert excinfo.value.status == 410
+        assert client.attempts == 1
 
 
 class TestErrorEnvelope:
@@ -266,6 +232,6 @@ class TestClientSpeaksV1:
             assert client.healthz()["status"] == "ok"
             names = [d["name"] for d in client.datasets()["datasets"]]
             assert names == ["taskrabbit", "google"]
-            # The raw surface still reaches legacy paths for compat tests.
-            status, body = client.request("POST", "/quantify", QUANTIFY)
+            # The raw surface uses the caller's path verbatim.
+            status, body = client.request("POST", "/v1/quantify", QUANTIFY)
             assert status == 200 and body["kind"] == "quantification"

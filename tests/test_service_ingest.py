@@ -1,7 +1,7 @@
 """The live-ingest subsystem: POST /observations, trends, and convergence.
 
-Covers the write path end-to-end on every (transport × execution backend)
-combination the conftest parameterizes: validation and idempotency of
+Covers the write path end-to-end on both execution backends the conftest
+parameterizes: validation and idempotency of
 ``POST /v1/observations``, incremental cube/index maintenance converging
 byte-for-byte with a cold rebuild of the final dataset state, generation
 invalidation under ingest/quantify races, trend history plus alert
@@ -40,6 +40,7 @@ from repro.service.registry import DatasetRegistry, DatasetSpec
 from repro.service.server import make_server
 from repro.service.sharding import shard_for
 
+from tests.helpers import use_backend
 from tests.test_service import ServiceHarness, _registry
 
 
@@ -353,7 +354,7 @@ class TestIngestConvergence:
     ):
         """After any ingest sequence, answers must be byte-identical to a
         cold re-register of the final dataset state (the acceptance bar for
-        the delta-maintenance path), on every transport × backend combo."""
+        the delta-maintenance path), on both execution backends."""
         registry = _registry(small_marketplace_dataset, small_search_dataset)
         live = ServiceHarness(start_service(registry=registry, request_timeout=60.0))
 
@@ -818,7 +819,9 @@ class TestIngestWorkerExit:
         running = []
 
         def start(registry, **kwargs):
-            server = make_server(registry=registry, port=0, backend=backend, **kwargs)
+            server = use_backend(
+                make_server(registry=registry, port=0, **kwargs), backend
+            )
             thread = threading.Thread(target=server.serve_forever, daemon=True)
             thread.start()
             running.append((server, thread))

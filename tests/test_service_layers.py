@@ -10,8 +10,7 @@ The refactor's contract is structural, so these tests assert structure:
   sync path's counters and shed policy (grant, queue-full shed, queue
   timeout, slot hand-off to a parked waiter);
 * **graceful drain** — at shutdown, requests already admitted or queued
-  complete while new arrivals get 503 + ``Connection: close``, on both
-  backends;
+  complete while new arrivals get 503 + ``Connection: close``;
 * **client keep-alive** — ``FBoxClient`` drives many requests over one
   connection, asserted via the server's ``fbox_connections_total``.
 """
@@ -84,13 +83,19 @@ class TestLayering:
     def test_lazy_server_exports_still_resolve(self):
         import repro.service as service
         from repro.service.transports.aio import AioFBoxServer
-        from repro.service.transports.threaded import FBoxServer
 
-        assert service.FBoxServer is FBoxServer
         assert service.AioFBoxServer is AioFBoxServer
         assert callable(service.make_server)
-        with pytest.raises(AttributeError):
-            service.no_such_export
+        for retired in ("FBoxServer", "no_such_export"):
+            with pytest.raises(AttributeError):
+                getattr(service, retired)
+
+    def test_serve_accepts_only_the_asyncio_backend(self):
+        from repro.service.server import serve
+
+        # Rejected before any socket, signal handler or registry is touched.
+        with pytest.raises(ValueError, match="asyncio"):
+            serve(backend="threads")
 
 
 # ----------------------------------------------------------------------

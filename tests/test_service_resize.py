@@ -1,6 +1,6 @@
 """Live shard-pool resize: ``POST /v1/admin/shards`` end to end.
 
-Covers the full contract of a resize under the conftest transport matrix:
+Covers the full contract of a resize under the conftest ``backend`` matrix:
 
 * the consistent-hash ring bounds how many datasets a ±1 resize moves;
 * an N→M→N round trip is invisible — quantify, trends, and replayed
@@ -37,6 +37,8 @@ from repro.service.registry import DatasetRegistry, DatasetSpec
 from repro.service.server import make_server
 from repro.service.sharding import build_ring, shard_for
 
+from tests.helpers import use_backend
+
 
 def _registry(small_marketplace_dataset, small_search_dataset) -> DatasetRegistry:
     registry = DatasetRegistry()
@@ -61,13 +63,12 @@ def _registry(small_marketplace_dataset, small_search_dataset) -> DatasetRegistr
 
 @pytest.fixture
 def run_server(backend):
-    """Boot servers with explicit knobs on the parameterized transport."""
+    """Boot servers with explicit knobs on the parameterized ``backend``."""
     running: list = []
 
     def _start(registry, **kwargs):
         kwargs.setdefault("port", 0)
-        kwargs.setdefault("backend", backend)
-        server = make_server(registry=registry, **kwargs)
+        server = use_backend(make_server(registry=registry, **kwargs), backend)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         running.append((server, thread))

@@ -28,6 +28,8 @@ from repro.service.registry import DatasetRegistry, DatasetSpec
 from repro.service.server import make_server
 from repro.service.sharding import build_ring, recv_frame, send_frame, shard_for
 
+from tests.helpers import use_backend
+
 
 def _registry(small_marketplace_dataset, small_search_dataset) -> DatasetRegistry:
     registry = DatasetRegistry()
@@ -187,12 +189,14 @@ class TestShardCrash:
             ),
         )
         registry = _registry(small_marketplace_dataset, small_search_dataset)
-        server = run_server(
-            registry,
-            backend=backend,
-            shards=2,
-            request_timeout=60.0,
-            cache_size=0,
+        server = use_backend(
+            run_server(
+                registry,
+                shards=2,
+                request_timeout=60.0,
+                cache_size=0,
+            ),
+            backend,
         )
         router = server.context.router
         victim_shard = shard_for("taskrabbit", 2)
@@ -283,19 +287,23 @@ class TestCrossShardBatch:
     def test_batch_spanning_shards_matches_the_unsharded_answer(
         self, backend, run_server, small_marketplace_dataset, small_search_dataset
     ):
-        sharded = run_server(
-            _registry(small_marketplace_dataset, small_search_dataset),
-            backend=backend,
-            shards=2,
-            request_timeout=120.0,
-            cache_size=0,
+        sharded = use_backend(
+            run_server(
+                _registry(small_marketplace_dataset, small_search_dataset),
+                shards=2,
+                request_timeout=120.0,
+                cache_size=0,
+            ),
+            backend,
         )
-        inproc = run_server(
-            _registry(small_marketplace_dataset, small_search_dataset),
-            backend=backend,
-            shards=0,
-            request_timeout=120.0,
-            cache_size=0,
+        inproc = use_backend(
+            run_server(
+                _registry(small_marketplace_dataset, small_search_dataset),
+                shards=0,
+                request_timeout=120.0,
+                cache_size=0,
+            ),
+            backend,
         )
         status_a, body_a = _post(
             sharded.url, "/v1/batch", {"requests": self.BATCH}
@@ -310,12 +318,14 @@ class TestCrossShardBatch:
     def test_bad_item_fails_alone_across_shards(
         self, backend, run_server, small_marketplace_dataset, small_search_dataset
     ):
-        server = run_server(
-            _registry(small_marketplace_dataset, small_search_dataset),
-            backend=backend,
-            shards=2,
-            request_timeout=120.0,
-            cache_size=0,
+        server = use_backend(
+            run_server(
+                _registry(small_marketplace_dataset, small_search_dataset),
+                shards=2,
+                request_timeout=120.0,
+                cache_size=0,
+            ),
+            backend,
         )
         batch = [
             self.BATCH[0],
